@@ -14,7 +14,6 @@ from .behavior import (
     build_chronology,
     enumerate_runs,
     evaluate_trace,
-    truth_of_event,
 )
 from .diagnostics import Diagnostic, Severity, Span
 from .dot import Level, RenderOptions, to_dot
@@ -34,7 +33,7 @@ from .model import (
     lookup,
     models_isomorphic,
 )
-from .simulate import BranchPolicy, Scripted, Seeded, action_step, fire_event, initial_state, simulate
+from .simulate import BranchPolicy, Scripted, Seeded, fire_event, initial_state, simulate
 from .syntax import Document, ParseResult, SourceFile, parse, parse_text, print_document
 from .validate import desugar, validate_static
 
@@ -70,7 +69,6 @@ __all__ = [
     "ThimacDecl",
     "Trace",
     "Verdict",
-    "action_step",
     "build_chronology",
     "build_model",
     "check_subdiagram",
@@ -88,6 +86,5 @@ __all__ = [
     "print_document",
     "simulate",
     "to_dot",
-    "truth_of_event",
     "validate_static",
 ]

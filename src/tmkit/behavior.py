@@ -9,8 +9,10 @@ evaluation can never regress or change its answer.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from functools import cached_property
+from typing import Callable, Hashable, Iterable, Optional, TypeVar, Union
 
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
 from .events import Event
@@ -42,6 +44,17 @@ class ChronologyDecl:
     starts: Optional[tuple[str, ...]] = None
     ends: Optional[tuple[str, ...]] = None
 
+    def mentioned(self) -> frozenset[str]:
+        """Every event id the declaration names, in any of its items."""
+        ids = set(self.event_ids)
+        for edge in self.edges:
+            ids.update(edge)
+        for g in self.groups:
+            ids.update(g.members)
+        ids.update(self.starts or ())
+        ids.update(self.ends or ())
+        return frozenset(ids)
+
 
 @dataclass(frozen=True)
 class Chronology:
@@ -55,29 +68,32 @@ class Chronology:
     windows: tuple[tuple[str, tuple[int, int]], ...] = ()
 
     def successors(self, event_id: str) -> set[str]:
-        return self._succ().get(event_id, set())
+        return self._succ.get(event_id, set())
 
     def predecessors(self, event_id: str) -> set[str]:
-        return self._pred().get(event_id, set())
+        return self._pred.get(event_id, set())
 
     def window_of(self, event_id: str) -> Optional[tuple[int, int]]:
-        return dict(self.windows).get(event_id)
+        return self._windows.get(event_id)
 
+    # Lazy indices; the chronology is frozen so they are computed once.
+    @cached_property
     def _succ(self) -> dict[str, set[str]]:
-        if "_succ_map" not in self.__dict__:
-            m: dict[str, set[str]] = {}
-            for u, v in self.edges:
-                m.setdefault(u, set()).add(v)
-            object.__setattr__(self, "_succ_map", m)
-        return self.__dict__["_succ_map"]
+        m: dict[str, set[str]] = {}
+        for u, v in self.edges:
+            m.setdefault(u, set()).add(v)
+        return m
 
+    @cached_property
     def _pred(self) -> dict[str, set[str]]:
-        if "_pred_map" not in self.__dict__:
-            m: dict[str, set[str]] = {}
-            for u, v in self.edges:
-                m.setdefault(v, set()).add(u)
-            object.__setattr__(self, "_pred_map", m)
-        return self.__dict__["_pred_map"]
+        m: dict[str, set[str]] = {}
+        for u, v in self.edges:
+            m.setdefault(v, set()).add(u)
+        return m
+
+    @cached_property
+    def _windows(self) -> dict[str, tuple[int, int]]:
+        return dict(self.windows)
 
 
 @dataclass(frozen=True)
@@ -192,25 +208,14 @@ def build_chronology(events: Iterable[Event], decl: ChronologyDecl) -> Chronolog
     edges.
     """
     known = {e.id for e in events}
-    mentioned = set(decl.event_ids)
-    for u, v in decl.edges:
-        mentioned.update((u, v))
-    for g in decl.groups:
-        mentioned.update(g.members)
-    mentioned.update(decl.starts or ())
-    mentioned.update(decl.ends or ())
-
+    mentioned = decl.mentioned()
     for ev in sorted(mentioned):
         if ev not in known:
             raise UnknownEvent(f"chronology '{decl.id}' references undeclared event '{ev}'")
 
-    succ: dict[str, list[str]] = {e: [] for e in mentioned}
-    for u, v in decl.edges:
-        succ[u].append(v)
-
-    cycle = _find_cycle(succ)
-    if cycle:
-        raise CycleDetected(cycle)
+    _, leftover = topological_order(sorted(mentioned), decl.edges, str)
+    if leftover:
+        raise CycleDetected(_cycle_among(leftover, decl.edges))
 
     for g in decl.groups:
         for u, v in decl.edges:
@@ -237,39 +242,57 @@ def build_chronology(events: Iterable[Event], decl: ChronologyDecl) -> Chronolog
     )
 
 
-def _find_cycle(succ: dict[str, list[str]]) -> Optional[list[str]]:
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in succ}
-    parent: dict[str, str] = {}
+_Node = TypeVar("_Node", bound=Hashable)
 
-    for root in sorted(succ):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(sorted(succ[root])))]
-        color[root] = GREY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == GREY:
-                    # unwind the grey path into a printable cycle
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == WHITE:
-                    color[nxt] = GREY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(sorted(succ[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-    return None
+
+def topological_order(
+    nodes: Iterable[_Node], edges: Iterable[tuple[_Node, _Node]], key: Callable[[_Node], object]
+) -> tuple[list[_Node], list[_Node]]:
+    """Kahn's walk over ``nodes``, taking the ready node of smallest key first.
+
+    Edges with an endpoint outside ``nodes`` are ignored. Returns the ordered
+    nodes and the left-over ones (on or behind a cycle) in ``nodes`` order.
+    """
+    pending = {n: 0 for n in nodes}
+    succ: dict[_Node, list[_Node]] = {n: [] for n in pending}
+    for u, v in edges:
+        if u in pending and v in pending:
+            succ[u].append(v)
+            pending[v] += 1
+    ready = [(key(n), n) for n, count in pending.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[_Node] = []
+    while ready:
+        _, n = heapq.heappop(ready)
+        order.append(n)
+        for s in succ[n]:
+            pending[s] -= 1
+            if pending[s] == 0:
+                heapq.heappush(ready, (key(s), s))
+    return order, [n for n, count in pending.items() if count]
+
+
+def _cycle_among(leftover: list[str], edges: Iterable[tuple[str, str]]) -> list[str]:
+    """A closed walk through the nodes a topological walk left over.
+
+    Each left-over node has a left-over predecessor, so walking backwards
+    from any of them must repeat a node.
+    """
+    left = set(leftover)
+    preds: dict[str, list[str]] = {}
+    for u, v in edges:
+        if u in left and v in left:
+            preds.setdefault(v, []).append(u)
+    path: list[str] = []
+    seen: dict[str, int] = {}
+    node = leftover[0]
+    while node not in seen:
+        seen[node] = len(path)
+        path.append(node)
+        node = min(preds[node])
+    cycle = path[seen[node]:] + [node]
+    cycle.reverse()
+    return cycle
 
 
 # --- Evaluation -------------------------------------------------------------
@@ -324,11 +347,6 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
     return Verdict(True, run=trace.events())
 
 
-def truth_of_event(trace: Trace, event_id: str) -> bool:
-    """An event is true exactly when it occurs in the trace."""
-    return any(e == event_id for e, _ in trace.occurrences)
-
-
 # --- Run enumeration (the brute-force oracle) -------------------------------
 
 
@@ -355,18 +373,8 @@ def run_set_valid(chronology: Chronology, occurred: frozenset[str]) -> bool:
 
 def canonical_order(chronology: Chronology, occurred: frozenset[str]) -> tuple[str, ...]:
     """One deterministic topological order of a run set (id-sorted ties)."""
-    pending = {e: len(chronology.predecessors(e) & occurred) for e in occurred}
-    ready = sorted(e for e, n in pending.items() if n == 0)
-    out: list[str] = []
-    while ready:
-        e = ready.pop(0)
-        out.append(e)
-        for s in sorted(chronology.successors(e) & occurred):
-            pending[s] -= 1
-            if pending[s] == 0:
-                ready.append(s)
-        ready.sort()
-    return tuple(out)
+    order, _ = topological_order(occurred, chronology.edges, str)
+    return tuple(order)
 
 
 def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[str, ...]]:

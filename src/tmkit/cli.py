@@ -138,6 +138,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     doc = _load(args.file)
+    _, event_diags = eventize(doc.subdiagrams, doc.events)
+    if dg.has_errors(event_diags):
+        for d in event_diags:
+            print(d, file=sys.stderr)
+        raise _Fail(INVALID, f"{args.file}: events do not resolve")
     chron = _pick_chronology(doc, args.chronology)
     if args.choose:
         choices = []

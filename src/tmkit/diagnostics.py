@@ -43,8 +43,6 @@ SUB_CLOSURE = "E-SUB-CLOSURE"
 EVENT_UNRESOLVED = "E-EVENT-UNRESOLVED"
 EVENT_WINDOW = "E-EVENT-WINDOW"
 EVENT_SHARED = "W-EVENT-SHARED"
-COVERAGE_GAP = "W-COVERAGE-GAP"
-COVERAGE_OVERLAP = "W-COVERAGE-OVERLAP"
 
 
 @dataclass(frozen=True)

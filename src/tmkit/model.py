@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ContainmentCycle, DuplicateId, SizeLimitExceeded, UnresolvedStageRef
@@ -107,13 +108,10 @@ class StaticModel:
             stack.extend(reversed(t.children))
 
     def thimac(self, thimac_id: str) -> Optional[Thimac]:
-        return self._index().get(thimac_id)
+        return self._by_id.get(thimac_id)
 
     def arc(self, arc_id: str) -> Optional[Arc]:
-        return self._arc_index().get(arc_id)
-
-    def parent_of(self, thimac_id: str) -> Optional[str]:
-        return self._parents().get(thimac_id)
+        return self._arc_by_id.get(arc_id)
 
     def stage_refs(self) -> list[StageRef]:
         """Every declared stage, in tree order."""
@@ -123,24 +121,13 @@ class StaticModel:
         return sum(1 for _ in self.walk()) + len(self.arcs)
 
     # Lazy indices; the model is frozen so they are computed once.
-    def _index(self) -> dict[str, Thimac]:
-        if "_by_id" not in self.__dict__:
-            object.__setattr__(self, "_by_id", {t.id: t for t in self.walk()})
-        return self.__dict__["_by_id"]
+    @cached_property
+    def _by_id(self) -> dict[str, Thimac]:
+        return {t.id: t for t in self.walk()}
 
-    def _arc_index(self) -> dict[str, Arc]:
-        if "_arc_by_id" not in self.__dict__:
-            object.__setattr__(self, "_arc_by_id", {a.id: a for a in self.arcs})
-        return self.__dict__["_arc_by_id"]
-
-    def _parents(self) -> dict[str, str]:
-        if "_parent" not in self.__dict__:
-            parents: dict[str, str] = {}
-            for t in self.walk():
-                for c in t.children:
-                    parents[c.id] = t.id
-            object.__setattr__(self, "_parent", parents)
-        return self.__dict__["_parent"]
+    @cached_property
+    def _arc_by_id(self) -> dict[str, Arc]:
+        return {a.id: a for a in self.arcs}
 
 
 def lookup(model: StaticModel, ref: StageRef) -> Optional[Thimac]:

@@ -11,22 +11,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
-from .behavior import Chronology, Trace, run_set_valid
+from .behavior import Chronology, Trace, run_set_valid, topological_order
 from .errors import Deadlock, IllegalAction, NotEnabled, PolicyError
 from .events import Event, Subdiagram
 from .model import Arc, ArcKind, StageKind, StageRef, StaticModel, Thimac
 
 MEMBER_STAGES = frozenset({StageKind.CREATE, StageKind.PROCESS, StageKind.RECEIVE, StageKind.ACCEPT})
-
-
-@dataclass(frozen=True)
-class InTransit:
-    arc: str
-
-    def __str__(self) -> str:
-        return f"in-transit({self.arc})"
 
 
 class Retired:
@@ -45,7 +38,7 @@ class Retired:
 
 RETIRED = Retired()
 
-Location = Union[StageRef, InTransit, Retired]
+Location = Union[StageRef, Retired]
 
 
 @dataclass(frozen=True)
@@ -54,7 +47,6 @@ class ThingInstance:
     label: str
     location: Location
     tags: tuple[str, ...] = ()
-    ready: bool = False
 
 
 @dataclass(frozen=True)
@@ -84,11 +76,19 @@ class SimContext:
     events: tuple[Event, ...]
     chronology: Chronology
 
-    def subdiagram(self, sub_id: str) -> Subdiagram:
-        return {s.id: s for s in self.subdiagrams}[sub_id]
+    @cached_property
+    def subdiagram_by_id(self) -> dict[str, Subdiagram]:
+        return {s.id: s for s in self.subdiagrams}
 
-    def event(self, event_id: str) -> Event:
-        return {e.id: e for e in self.events}[event_id]
+    @cached_property
+    def event_by_id(self) -> dict[str, Event]:
+        return {e.id: e for e in self.events}
+
+    @cached_property
+    def handoff_ports(self) -> frozenset[StageRef]:
+        """Stages with a flow into another machine. A thing its own machine
+        moves to a transfer stage outside this set leaves the system."""
+        return frozenset(a.src for a in self.model.arcs if a.kind is ArcKind.FLOW and a.cross_machine)
 
 
 @dataclass(frozen=True)
@@ -102,12 +102,6 @@ class SimState:
 
     def fired(self) -> frozenset[str]:
         return frozenset(e for e, _ in self.log)
-
-    def instance(self, instance_id: str) -> Optional[ThingInstance]:
-        for inst in self.instances:
-            if inst.id == instance_id:
-                return inst
-        return None
 
     def at(self, ref: StageRef) -> list[ThingInstance]:
         return sorted((i for i in self.instances if i.location == ref), key=lambda i: i.id)
@@ -150,69 +144,23 @@ def _spawn(state: SimState, thimac_id: str) -> SimState:
     return state
 
 
-def _port_is_exit_only(model: StaticModel, port: StageRef) -> bool:
-    """True when nothing flows from this transfer stage into another machine:
-    a thing released to such a port leaves the system."""
-    return not any(
-        a.kind is ArcKind.FLOW and a.src == port and a.dst.thimac != port.thimac for a in model.arcs
-    )
+def _act(state: SimState, inst: ThingInstance, target: StageRef) -> SimState:
+    """Apply the generic action at ``target`` to one instance standing at a stage.
 
-
-def action_step(state: SimState, ref: StageRef, instance_id: str) -> SimState:
-    """Apply one generic action to one instance.
-
-    The instance's location must be compatible with the action; the membership
-    rule applies (a thing is no member until it reaches receive or is created
-    there), and a released thing can only transfer.
+    A released thing can only transfer out. A thing its own machine moves to
+    a transfer stage with no onward flow leaves the system; an elided flow
+    into a creation absorbs the thing into whatever that machine creates.
     """
-    model = state.ctx.model
-    kind = ref.kind
-
-    if kind is StageKind.CREATE:
-        return _spawn(state, ref.thimac)
-
-    inst = state.instance(instance_id)
-    if inst is None:
-        raise IllegalAction(ref, f"no instance '{instance_id}'")
-    loc = inst.location
-    if isinstance(loc, Retired):
-        raise IllegalAction(ref, f"'{instance_id}' has left the system")
-
+    loc, kind = inst.location, target.kind
+    if loc.kind is StageKind.RELEASE and kind is not StageKind.TRANSFER:
+        raise IllegalAction(target, f"'{inst.id}' is released; it can only transfer out")
     if kind is StageKind.PROCESS:
-        if not (isinstance(loc, StageRef) and loc.thimac == ref.thimac and loc.kind in MEMBER_STAGES):
-            raise IllegalAction(ref, f"'{instance_id}' is not a member of '{ref.thimac}'")
-        return _put(state, replace(inst, location=ref, tags=inst.tags + (f"processed@{ref.thimac}",)))
-
-    if kind is StageKind.RELEASE:
-        if not (isinstance(loc, StageRef) and loc.thimac == ref.thimac and loc.kind in MEMBER_STAGES):
-            raise IllegalAction(ref, f"'{instance_id}' is not a member of '{ref.thimac}'")
-        return _put(state, replace(inst, location=ref, ready=True))
-
-    if kind is StageKind.TRANSFER:
-        if not (isinstance(loc, StageRef) and loc.thimac == ref.thimac and (loc.kind is StageKind.RELEASE or loc.kind is StageKind.TRANSFER)):
-            raise IllegalAction(ref, f"'{instance_id}' is not released at '{ref.thimac}'")
-        outgoing = sorted(
-            (a for a in model.arcs if a.kind is ArcKind.FLOW and a.src == ref and a.dst.kind is StageKind.TRANSFER),
-            key=lambda a: a.id,
-        )
-        if not outgoing:
-            return _put(state, replace(inst, location=RETIRED, ready=False))
-        if len(outgoing) > 1:
-            raise IllegalAction(ref, "several outgoing transfers; fire an event to pick a route")
-        return _put(state, replace(inst, location=outgoing[0].dst, ready=False))
-
-    if kind is StageKind.RECEIVE or kind is StageKind.ARRIVE:
-        at_port = isinstance(loc, StageRef) and loc == StageRef(ref.thimac, StageKind.TRANSFER)
-        if not (at_port or isinstance(loc, InTransit)):
-            raise IllegalAction(ref, f"'{instance_id}' has not reached the boundary of '{ref.thimac}'")
-        return _put(state, replace(inst, location=ref))
-
-    if kind is StageKind.ACCEPT:
-        if not (isinstance(loc, StageRef) and loc == StageRef(ref.thimac, StageKind.ARRIVE)):
-            raise IllegalAction(ref, f"'{instance_id}' has not arrived at '{ref.thimac}'")
-        return _put(state, replace(inst, location=ref))
-
-    raise IllegalAction(ref, "unsupported action")
+        return _put(state, replace(inst, location=target, tags=inst.tags + (f"processed@{target.thimac}",)))
+    if kind is StageKind.CREATE:
+        return _spawn(_put(state, replace(inst, location=RETIRED)), target.thimac)
+    if kind is StageKind.TRANSFER and loc.thimac == target.thimac and target not in state.ctx.handoff_ports:
+        return _put(state, replace(inst, location=RETIRED))
+    return _put(state, replace(inst, location=target))
 
 
 # ---------------------------------------------------------------------------
@@ -220,51 +168,12 @@ def action_step(state: SimState, ref: StageRef, instance_id: str) -> SimState:
 
 
 def _topo_stage_order(sub: Subdiagram, arcs: Sequence[Arc]) -> dict[StageRef, int]:
-    order = {ref: i for i, ref in enumerate(sub.stages)}
-    flows = [a for a in arcs if a.kind is ArcKind.FLOW]
-    pending = {ref: 0 for ref in sub.stages}
-    for a in flows:
-        if a.dst in pending and a.src in pending:
-            pending[a.dst] += 1
-    ready = sorted((r for r, n in pending.items() if n == 0), key=lambda r: order[r])
-    rank: dict[StageRef, int] = {}
-    while ready:
-        ref = ready.pop(0)
-        rank[ref] = len(rank)
-        for a in flows:
-            if a.src == ref and a.dst in pending:
-                pending[a.dst] -= 1
-                if pending[a.dst] == 0:
-                    ready.append(a.dst)
-        ready.sort(key=lambda r: order[r])
-    for ref in sub.stages:  # stages on a flow cycle keep declaration order
-        rank.setdefault(ref, len(rank))
-    return rank
-
-
-def _move_along(state: SimState, arc: Arc, inst: ThingInstance) -> SimState:
-    """Carry one instance over one flow arc and apply the target action."""
-    src, dst = arc.src, arc.dst
-    if isinstance(inst.location, StageRef) and inst.location.kind is StageKind.RELEASE and dst.kind is not StageKind.TRANSFER:
-        raise IllegalAction(dst, f"'{inst.id}' is released; it can only transfer out")
-
-    if dst.kind is StageKind.PROCESS:
-        return _put(state, replace(inst, location=dst, tags=inst.tags + (f"processed@{dst.thimac}",)))
-    if dst.kind is StageKind.RELEASE:
-        return _put(state, replace(inst, location=dst, ready=True))
-    if dst.kind is StageKind.TRANSFER:
-        outbound = src.thimac == dst.thimac
-        if outbound and _port_is_exit_only(state.ctx.model, dst):
-            return _put(state, replace(inst, location=RETIRED, ready=False))
-        return _put(state, replace(inst, location=dst, ready=False))
-    if dst.kind in (StageKind.RECEIVE, StageKind.ARRIVE, StageKind.ACCEPT):
-        return _put(state, replace(inst, location=dst))
-    if dst.kind is StageKind.CREATE:
-        # elided-notation flow into a creation: the moving thing is absorbed
-        # into whatever the target machine brings into existence
-        state = _put(state, replace(inst, location=RETIRED, ready=False))
-        return _spawn(state, dst.thimac)
-    raise IllegalAction(dst, "unsupported flow target")
+    """Rank the stages in flow order. Ties, and stages on a flow cycle, keep
+    declaration order."""
+    index = {ref: i for i, ref in enumerate(sub.stages)}
+    flows = ((a.src, a.dst) for a in arcs if a.kind is ArcKind.FLOW)
+    order, leftover = topological_order(index, flows, index.__getitem__)
+    return {ref: i for i, ref in enumerate(order + leftover)}
 
 
 def enabled_events(state: SimState) -> list[str]:
@@ -311,8 +220,7 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     ctx = state.ctx
     if event_id not in enabled_events(state):
         raise NotEnabled(f"event '{event_id}' is not enabled")
-    event = ctx.event(event_id)
-    sub = ctx.subdiagram(event.subdiagram)
+    sub = ctx.subdiagram_by_id[ctx.event_by_id[event_id].subdiagram]
     arcs = [a for aid in sub.arcs if (a := ctx.model.arc(aid)) is not None]
     rank = _topo_stage_order(sub, arcs)
 
@@ -326,9 +234,8 @@ def fire_event(state: SimState, event_id: str) -> SimState:
         key=lambda a: (rank.get(a.src, len(rank)), rank.get(a.dst, len(rank)), a.id),
     )
     for arc in flows:
-        movers = state.at(arc.src)
-        for inst in movers:
-            state = _move_along(state, arc, inst)
+        for inst in state.at(arc.src):
+            state = _act(state, inst, arc.dst)
             visited.add(arc.dst)
             moved_from.add(arc.src)
 
@@ -347,7 +254,7 @@ def fire_event(state: SimState, event_id: str) -> SimState:
         if not present:
             raise IllegalAction(ref, f"event '{event_id}' has nothing to process")
         for inst in present:
-            state = _put(state, replace(inst, location=ref, tags=inst.tags + (f"processed@{ref.thimac}",)))
+            state = _act(state, inst, ref)
 
     queued = tuple(a.dst for a in sorted(arcs, key=lambda a: a.id) if a.kind is ArcKind.TRIGGER)
     state = replace(state, pending_triggers=state.pending_triggers + queued)

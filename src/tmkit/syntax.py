@@ -17,7 +17,7 @@ with source spans, never an exception.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from . import diagnostics as dg
@@ -36,7 +36,9 @@ from .model import (
     build_model,
 )
 
-FILE_EXTENSION = ".tm"
+# Deeper thimac nesting is refused at parse time, which also bounds the
+# recursion of every tree walk over a parsed model.
+MAX_NESTING = 100
 
 _STAGE_WORDS = {k.value: k for k in StageKind}
 _SECTION_KEYWORDS = ("model", "subdiagram", "event", "chronology", "trace")
@@ -142,9 +144,9 @@ def _tokenize(src: SourceFile, diags: list[dg.Diagnostic]) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() accepts
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             toks.append(Token("int", text[i:j], line, col))
             col += j - i
@@ -318,7 +320,7 @@ class _Parser:
         arcs: list[ArcDecl] = []
         while not self.at("punct", "}"):
             if self.at_keyword("thimac"):
-                thimacs.append(self.thimac_decl())
+                thimacs.append(self.thimac_decl(1))
             elif self.at_keyword("flow", "trigger"):
                 arcs.append(self.arc_decl())
             else:
@@ -330,8 +332,10 @@ class _Parser:
             self.diags.append(dg.error(dg.SYNTAX, str(e), span=dg.Span(self.src.path, 1, 1)))
             return None
 
-    def thimac_decl(self) -> ThimacDecl:
-        self.expect("ident", "thimac")
+    def thimac_decl(self, depth: int) -> ThimacDecl:
+        keyword = self.expect("ident", "thimac")
+        if depth > MAX_NESTING:
+            raise _SyntaxError(f"thimacs nest more than {MAX_NESTING} deep", keyword)
         name_tok = self.expect("ident", what="thimac id")
         self.spans.setdefault(name_tok.text, self.span(name_tok))
         label = self.expect("string", what="thimac label").text
@@ -374,7 +378,7 @@ class _Parser:
                     break
                 self.expect("punct", ";")
             elif self.at_keyword("thimac"):
-                children.append(self.thimac_decl())
+                children.append(self.thimac_decl(depth + 1))
             else:
                 raise _SyntaxError(f"expected stages, things or thimac, found {self.peek().text!r}", self.peek())
         self.expect("punct", "}")
@@ -513,21 +517,15 @@ class _Parser:
                 self.report(f"chronology '{name_tok.text}' names exclusive group '{g.name}' twice", name_tok)
             seen_groups.add(g.name)
 
-        mentioned: set[str] = set(explicit)
-        for u, v in edges:
-            mentioned.update((u, v))
-        for g in groups:
-            mentioned.update(g.members)
-        mentioned.update(starts or ())
-        mentioned.update(ends or ())
-        return ChronologyDecl(
+        decl = ChronologyDecl(
             id=name_tok.text,
-            event_ids=tuple(sorted(mentioned)),
+            event_ids=tuple(explicit),
             edges=tuple(edges),
             groups=tuple(groups),
             starts=tuple(starts) if starts is not None else None,
             ends=tuple(ends) if ends is not None else None,
         )
+        return replace(decl, event_ids=tuple(sorted(decl.mentioned())))
 
     def id_list(self) -> list[str]:
         ids = [self.expect("ident", what="event id").text]

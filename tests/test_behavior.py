@@ -19,7 +19,6 @@ from tmkit.behavior import (
     enumerate_runs,
     evaluate_trace,
     run_set_valid,
-    truth_of_event,
 )
 from tmkit.errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
 from tmkit.events import Event
@@ -60,6 +59,20 @@ def test_cycle_is_detected_with_a_witness():
     with pytest.raises(CycleDetected) as err:
         build_chronology(events, decl)
     assert set(err.value.cycle) >= {"E1", "E2"}
+
+
+def test_cycle_witness_is_a_closed_walk_over_declared_edges():
+    rng = random.Random(29)
+    for _ in range(100):
+        n = rng.randint(2, 9)
+        events, decl = random_chronology(rng, n, exclusive=False)
+        ring = rng.sample([e.id for e in events], rng.randint(1, n))
+        edges = decl.edges + tuple(zip(ring, ring[1:] + ring[:1]))
+        with pytest.raises(CycleDetected) as err:
+            build_chronology(events, ChronologyDecl("c", decl.event_ids, edges))
+        cycle = err.value.cycle
+        assert len(cycle) >= 2 and cycle[0] == cycle[-1], (edges, cycle)
+        assert all(edge in edges for edge in zip(cycle, cycle[1:])), (edges, cycle)
 
 
 def test_single_event_defaults_to_start_and_end():
@@ -149,13 +162,6 @@ def test_window_violation():
     assert evaluate_trace(b, Trace("t", (("a", 3), ("z", 9)))).truth
     v = evaluate_trace(b, Trace("t", (("a", 0), ("z", 9))))
     assert v.violation == WindowViolation("a")
-
-
-def test_truth_of_event(airport):
-    accepted = fixture_trace(airport, "schengen_luggage")
-    assert truth_of_event(accepted, "E9")
-    assert not truth_of_event(accepted, "E10")
-    assert not truth_of_event(Trace("empty"), "E1")
 
 
 def test_evaluation_is_deterministic(airport, airport_chronology):

@@ -149,3 +149,27 @@ def test_chronology_flag_optional_when_unique(capsys):
     status, out, err = run_cli(capsys, "evaluate", fixture_path("green_cheese.tm"), "--trace", "in_order")
     assert status == 0
     assert out.splitlines()[0] == "TRUE run=[E1,E2]"
+
+
+def test_check_rejects_superscript_digits(tmp_path, capsys):
+    bad = tmp_path / "sup.tm"
+    bad.write_text('model m { thimac a "A" { stages: create; } }\nsubdiagram s "S" { stages: a.create; }\nevent E = s window ²..3\n')
+    status, out, err = run_cli(capsys, "check", str(bad))
+    assert status == 1
+    assert re.search(r"sup\.tm:3:\d+: error: .*unexpected character", err)
+
+
+def test_check_rejects_deep_nesting(tmp_path, capsys):
+    deep = tmp_path / "deep.tm"
+    deep.write_text("model m {\n" + "".join(f'thimac t{i} "T" {{\n' for i in range(1500)) + "}\n" * 1500 + "}\n")
+    status, out, err = run_cli(capsys, "check", str(deep))
+    assert status == 1
+    assert "nest more than" in err
+
+
+def test_simulate_rejects_an_unknown_subdiagram(tmp_path, capsys):
+    bad = tmp_path / "ghost.tm"
+    bad.write_text('model m { thimac a "A" { stages: create; } }\nevent E1 = ghost\nchronology c { events: E1; }\n')
+    status, out, err = run_cli(capsys, "simulate", str(bad))
+    assert status == 1
+    assert "E-EVENT-UNRESOLVED" in err

@@ -34,8 +34,9 @@ def test_airport_thimac_inventory(airport):
         "Luggage",
     } <= labels
     # ticket and passport live nested inside their areas
-    assert airport.model.parent_of("ticket_c") == "counter"
-    assert airport.model.parent_of("passport") == "border"
+    parent = {c.id: t.id for t in airport.model.walk() for c in t.children}
+    assert parent["ticket_c"] == "counter"
+    assert parent["passport"] == "border"
 
 
 def test_build_empty_model():

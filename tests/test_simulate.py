@@ -1,14 +1,15 @@
+import random
+
 import pytest
 
-from tmkit.behavior import build_chronology, evaluate_trace
-from tmkit.errors import Deadlock, IllegalAction, NotEnabled, PolicyError
+from tmkit.behavior import ChronologyDecl, build_chronology, evaluate_trace
+from tmkit.errors import Deadlock, IllegalAction, NotEnabled, PolicyError, TmkitError
 from tmkit.events import Event, Subdiagram
 from tmkit.model import ArcDecl, ArcKind, StageKind, StageRef, ThimacDecl, build_model
 from tmkit.simulate import (
     RETIRED,
     Scripted,
     Seeded,
-    action_step,
     enabled_events,
     fire_event,
     initial_state,
@@ -16,6 +17,7 @@ from tmkit.simulate import (
 )
 
 from conftest import load
+from genutil import random_document
 
 C, P, R, T, V = StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE, StageKind.TRANSFER, StageKind.RECEIVE
 
@@ -52,68 +54,71 @@ def courier_context():
         ),
     ]
     events = [Event("E1", "s1"), Event("E2", "s2")]
-    from tmkit.behavior import ChronologyDecl
-
     chron = build_chronology(events, ChronologyDecl("c", edges=(("E1", "E2"),)))
     return model, subs, events, chron
 
 
-# -- action_step --------------------------------------------------------------
+def instance(state, instance_id):
+    return next((i for i in state.instances if i.id == instance_id), None)
+
+
+# -- generic actions ----------------------------------------------------------
 
 
 def test_transfer_carries_a_released_thing_across():
     model, subs, events, chron = courier_context()
     state = initial_state(model, subs, events, chron)
-    state = action_step(state, StageRef("a", C), "parcel")
-    state = action_step(state, StageRef("a", P), "parcel")
-    state = action_step(state, StageRef("a", R), "parcel")
-    assert state.instance("parcel").ready
-    state = action_step(state, StageRef("a", T), "parcel")
-    assert state.instance("parcel").location == StageRef("b", T)
-    assert not state.instance("parcel").ready
-
-
-def test_create_brings_a_new_instance():
-    model, subs, events, chron = courier_context()
-    state = initial_state(model, subs, events, chron)
-    state = action_step(state, StageRef("a", C), "parcel")
-    inst = state.instance("parcel")
-    assert inst is not None and inst.location == StageRef("a", C)
-
-
-def test_process_requires_membership():
-    model, subs, events, chron = courier_context()
-    state = initial_state(model, subs, events, chron)
-    state = action_step(state, StageRef("a", C), "parcel")
-    with pytest.raises(IllegalAction):
-        action_step(state, StageRef("b", P), "parcel")
+    state = fire_event(state, "E1")
+    assert instance(state, "parcel").location == StageRef("a", R)
+    state = fire_event(state, "E2")
+    parcel = instance(state, "parcel")
+    assert parcel.location == StageRef("b", P)
+    assert parcel.tags == ("processed@a", "processed@b")
 
 
 def test_released_thing_cannot_be_processed_again():
-    model, subs, events, chron = courier_context()
-    state = initial_state(model, subs, events, chron)
-    state = action_step(state, StageRef("a", C), "parcel")
-    state = action_step(state, StageRef("a", R), "parcel")
-    with pytest.raises(IllegalAction):
-        action_step(state, StageRef("a", P), "parcel")
+    model = build_model(
+        "loop",
+        [ThimacDecl("a", "A", [C, P, R], things=["x"])],
+        [
+            ArcDecl("f1", ArcKind.FLOW, ("a", C), ("a", R)),
+            ArcDecl("f2", ArcKind.FLOW, ("a", R), ("a", P)),
+        ],
+    )
+    subs = [
+        Subdiagram("s1", "READY", (StageRef("a", C), StageRef("a", R)), ("f1",)),
+        Subdiagram("s2", "AGAIN", (StageRef("a", R), StageRef("a", P)), ("f2",)),
+    ]
+    events = [Event("E1", "s1"), Event("E2", "s2")]
+    chron = build_chronology(events, ChronologyDecl("c", edges=(("E1", "E2"),)))
+    state = fire_event(initial_state(model, subs, events, chron), "E1")
+    with pytest.raises(IllegalAction) as err:
+        fire_event(state, "E2")
+    assert err.value.stage == StageRef("a", P)
+    assert "released" in str(err.value)
 
 
 def test_transfer_without_peer_retires():
     model = build_model(
         "exit",
-        [ThimacDecl("a", "A", [C, R, T], things=["x"])],
+        [ThimacDecl("a", "A", [C, P, R, T], things=["x"])],
         [
             ArcDecl("f1", ArcKind.FLOW, ("a", C), ("a", R)),
             ArcDecl("f2", ArcKind.FLOW, ("a", R), ("a", T)),
         ],
     )
-    state = initial_state(model, [], [], build_chronology([], __import__("tmkit.behavior", fromlist=["ChronologyDecl"]).ChronologyDecl("c")))
-    state = action_step(state, StageRef("a", C), "x")
-    state = action_step(state, StageRef("a", R), "x")
-    state = action_step(state, StageRef("a", T), "x")
-    assert state.instance("x").location is RETIRED
-    with pytest.raises(IllegalAction):
-        action_step(state, StageRef("a", P), "x")
+    subs = [
+        Subdiagram("s1", "GONE", (StageRef("a", C), StageRef("a", R), StageRef("a", T)), ("f1", "f2")),
+        Subdiagram("s2", "WORK", (StageRef("a", P),)),
+    ]
+    events = [Event("E1", "s1"), Event("E2", "s2")]
+    chron = build_chronology(events, ChronologyDecl("c", edges=(("E1", "E2"),)))
+    state = fire_event(initial_state(model, subs, events, chron), "E1")
+    assert instance(state, "x").location is RETIRED
+    with pytest.raises(IllegalAction) as err:
+        fire_event(state, "E2")
+    assert err.value.stage == StageRef("a", P)
+    assert "nothing to process" in str(err.value)
 
 
 # -- fire_event ---------------------------------------------------------------
@@ -176,9 +181,9 @@ def test_triggered_creation_happens_after_the_event(airport, airport_chronology)
     state = airport_sim(airport, airport_chronology)
     for e in ("E1", "E3", "E4"):
         state = fire_event(state, e)
-    assert state.instance("ticket_counter") is None
+    assert instance(state, "ticket_counter") is None
     state = fire_event(state, "E5")
-    assert state.instance("ticket_counter").location == StageRef("ticket_c", C)
+    assert instance(state, "ticket_counter").location == StageRef("ticket_c", C)
     assert state.pending_triggers == ()
 
 
@@ -186,7 +191,7 @@ def test_passenger_retires_on_boarding(airport, airport_chronology):
     state = airport_sim(airport, airport_chronology)
     for e in ("E1", "E3", "E4", "E5", "E8", "E9", "E13", "E14"):
         state = fire_event(state, e)
-    assert state.instance("passenger_l").location is RETIRED
+    assert instance(state, "passenger_l").location is RETIRED
     assert state.log[-1] == ("E14", 7)
 
 
@@ -225,6 +230,26 @@ def test_seeded_simulation_round_trips_and_is_deterministic(airport, airport_chr
         assert again == trace
 
 
+def test_simulated_traces_of_random_documents_evaluate_true():
+    rng = random.Random(11)
+    simulated = 0
+    for doc_no in range(300):
+        doc = random_document(rng)
+        for decl in doc.chronologies:
+            try:
+                chron = build_chronology(doc.events, decl)
+            except TmkitError:
+                continue
+            for seed in range(3):
+                try:
+                    trace = simulate(doc.model, doc.subdiagrams, doc.events, chron, Seeded(seed))
+                except TmkitError:
+                    continue  # any other exception fails the test
+                simulated += 1
+                assert evaluate_trace(chron, trace).truth, (doc_no, decl.id, seed, trace)
+    assert simulated > 100
+
+
 def test_instances_hold_exactly_one_location(airport, airport_chronology):
     state = airport_sim(airport, airport_chronology)
     for e in ("E1", "E3", "E4", "E5"):
@@ -243,8 +268,6 @@ def test_create_only_model_generates_only_creations():
 
 
 def test_closed_window_deadlocks():
-    from tmkit.behavior import ChronologyDecl
-
     model = build_model("m", [ThimacDecl("a", "A", [C], things=["x"])])
     subs = [Subdiagram("s", "S", (StageRef("a", C),))]
     events = [Event("E1", "s", window=(5, 5)), Event("E2", "s", window=(0, 1))]
@@ -254,8 +277,6 @@ def test_closed_window_deadlocks():
 
 
 def test_window_fast_forwards_the_clock():
-    from tmkit.behavior import ChronologyDecl
-
     model = build_model("m", [ThimacDecl("a", "A", [C], things=["x"])])
     subs = [Subdiagram("s", "S", (StageRef("a", C),))]
     events = [Event("E1", "s", window=(3, 9)), Event("E2", "s")]

@@ -1,7 +1,7 @@
 import random
 
 from tmkit import diagnostics as dg
-from tmkit.syntax import SourceFile, parse, parse_text, print_document
+from tmkit.syntax import MAX_NESTING, SourceFile, parse, parse_text, print_document
 
 from conftest import FIXTURES, load
 from genutil import random_document
@@ -115,3 +115,23 @@ def test_unterminated_string_reported():
     res = parse_text('model m { thimac a "A { stages: create; } }')
     assert res.document is None
     assert any("unterminated" in d.message for d in res.diagnostics)
+
+
+def test_superscript_digits_are_a_syntax_error():
+    base = 'model m { thimac a "A" { stages: create; } }\nsubdiagram s "S" { stages: a.create; }\n'
+    res = parse_text(base + "event E = s window ²..3", path="sup.tm")
+    assert res.document is None
+    assert any(d.code == dg.SYNTAX and d.span.file == "sup.tm" and d.span.line == 3 for d in res.diagnostics)
+
+
+def nested_thimacs(depth):
+    return "model m {\n" + "".join(f'thimac t{i} "T" {{\n' for i in range(depth)) + "}\n" * depth + "}\n"
+
+
+def test_nesting_deeper_than_the_cap_is_a_syntax_error():
+    res = parse_text(nested_thimacs(MAX_NESTING))
+    assert res.ok
+    assert parse_text(print_document(res.document)).document is not None
+    res = parse_text(nested_thimacs(1500), path="deep.tm")
+    assert res.document is None
+    assert [(d.code, d.span.line) for d in res.diagnostics] == [(dg.SYNTAX, MAX_NESTING + 2)]
