@@ -17,10 +17,6 @@ from typing import Callable, Hashable, Iterable, Optional, TypeVar, Union
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
 from .events import Event
 
-# Exact enumeration is exponential in the event count; chronologies are
-# desk-scale by design.
-MAX_ENUMERABLE_EVENTS = 22
-
 
 @dataclass(frozen=True)
 class ExclusiveGroup:
@@ -347,7 +343,7 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
     return Verdict(True, run=trace.events())
 
 
-# --- Run enumeration (the brute-force oracle) -------------------------------
+# --- Run enumeration ---------------------------------------------------------
 
 
 def run_set_valid(chronology: Chronology, occurred: frozenset[str]) -> bool:
@@ -380,21 +376,62 @@ def canonical_order(chronology: Chronology, occurred: frozenset[str]) -> tuple[s
 def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[str, ...]]:
     """All runs of the chronology, one canonical order per run set.
 
-    Exhaustive over event subsets, so deliberately independent of
-    evaluate_trace; the two are cross-checked in tests. Raises BoundExceeded
-    when the run count passes ``bound`` or the chronology is too large to
-    enumerate exactly.
+    Depth-first over the events in topological order, deciding each one once
+    (include or exclude), so every set is reached at most once. A branch is
+    cut as soon as it breaks a run rule that no later decision can mend: an
+    included event needs to be a start or follow an included predecessor, to
+    have no included rival in an exclusive group, and to be an end or have a
+    successor; an event cannot be excluded when it is the last successor left
+    to an included, unfinished predecessor. Each leaf is confirmed with
+    run_set_valid, so the search can miss a run but never invent one; tests
+    cross-check it against an exhaustive subset scan. Raises BoundExceeded
+    when the run count passes ``bound``.
     """
-    events = sorted(chronology.events)
-    if bound < len(events):
-        raise ValueError(f"bound {bound} is smaller than the event count {len(events)}")
-    if len(events) > MAX_ENUMERABLE_EVENTS:
-        raise BoundExceeded(f"cannot enumerate runs over {len(events)} events (max {MAX_ENUMERABLE_EVENTS})")
+    if bound < len(chronology.events):
+        raise ValueError(f"bound {bound} is smaller than the event count {len(chronology.events)}")
+
+    order, _ = topological_order(sorted(chronology.events), chronology.edges, str)
+    at = {e: i for i, e in enumerate(order)}
+    preds = [[at[p] for p in chronology.predecessors(e)] for e in order]
+    startable = [e in chronology.starts for e in order]
+    closable = [e in chronology.ends or bool(chronology.successors(e)) for e in order]
+    # earlier events that share an exclusive group with each event
+    rivals: list[set[int]] = [set() for _ in order]
+    for g in chronology.groups:
+        for a in g.members:
+            rivals[at[a]].update(at[b] for b in g.members if at[b] < at[a])
+    # (p, p's other successors) for each unfinished p whose last successor this is
+    last_chance: list[list[tuple[int, list[int]]]] = [[] for _ in order]
+    for p, e in enumerate(order):
+        succ = sorted(at[s] for s in chronology.successors(e))
+        if succ and e not in chronology.ends:
+            last_chance[succ[-1]].append((p, succ[:-1]))
+
+    taken: list[bool] = []  # the decision for order[i] is taken[i]
+
+    def choices(i: int) -> list[tuple[int, bool]]:
+        out = []
+        if not any(taken[p] and not any(taken[s] for s in others) for p, others in last_chance[i]):
+            out.append((i, False))
+        if (
+            closable[i]
+            and (startable[i] or any(taken[p] for p in preds[i]))
+            and not any(taken[r] for r in rivals[i])
+        ):
+            out.append((i, True))
+        return out
 
     runs: list[tuple[str, ...]] = []
-    for mask in range(1, 1 << len(events)):
-        occurred = frozenset(events[i] for i in range(len(events)) if mask & (1 << i))
-        if run_set_valid(chronology, occurred):
+    stack = choices(0) if order else []
+    while stack:
+        i, take = stack.pop()
+        del taken[i:]
+        taken.append(take)
+        if i + 1 < len(order):
+            stack.extend(choices(i + 1))
+            continue
+        occurred = frozenset(e for e, t in zip(order, taken) if t)
+        if occurred and run_set_valid(chronology, occurred):
             runs.append(canonical_order(chronology, occurred))
             if len(runs) > bound:
                 raise BoundExceeded(f"chronology '{chronology.id}' has more than {bound} runs")

@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--choose", action="append", default=[], metavar="GROUP=EVENT")
     c.set_defaults(fn=_cmd_simulate)
 
-    c = sub.add_parser("runs", help="enumerate all maximal runs")
+    c = sub.add_parser("runs", help="enumerate all runs")
     c.add_argument("file")
     c.add_argument("--chronology")
     c.add_argument("--bound", type=int, default=1000)

@@ -2,7 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import tmkit.behavior as behavior
 from tmkit.behavior import (
     Chronology,
     ChronologyDecl,
@@ -25,6 +28,7 @@ from tmkit.events import Event
 
 from conftest import load
 from genutil import random_chronology
+from oracles import enumerate_runs_by_subsets
 
 AIRPORT_RUNS = [
     ("E2", "E6", "E7", "E8", "E9", "E13", "E14"),
@@ -40,6 +44,21 @@ def trace_of(*events, start=0):
 
 def fixture_trace(doc, trace_id):
     return {t.id: t for t in doc.traces}[trace_id]
+
+
+def diamonds(k: int, tail: int = 0) -> Chronology:
+    """k exclusive diamonds in sequence, then a linear tail: exactly 2^k runs."""
+    joins = [f"j{i}" for i in range(k + 1)]
+    edges, groups = [], []
+    for i in range(k):
+        a, b = f"a{i}", f"b{i}"
+        edges += [(joins[i], a), (joins[i], b), (a, joins[i + 1]), (b, joins[i + 1])]
+        groups.append(ExclusiveGroup(f"x{i}", frozenset({a, b})))
+    line = [joins[-1]] + [f"t{i}" for i in range(tail)]
+    edges += zip(line, line[1:])
+    ids = sorted({e for edge in edges for e in edge} | set(joins))
+    decl = ChronologyDecl("c", tuple(ids), tuple(edges), tuple(groups))
+    return build_chronology([Event(e, "s") for e in ids], decl)
 
 
 # -- construction -------------------------------------------------------------
@@ -219,6 +238,64 @@ def test_bound_below_event_count_rejected(airport_chronology):
         enumerate_runs(airport_chronology, bound=3)
 
 
+def test_sixty_one_events_have_the_runs_of_ten_diamonds():
+    chron = diamonds(10, tail=30)
+    assert len(chron.events) == 61
+    runs = enumerate_runs(chron)
+    assert len(runs) == 1024 == len(set(runs))
+    assert all(run[-1] == "t29" and len(run) == 51 for run in runs)
+
+
+def test_long_linear_chronology_has_one_run():
+    ids = [f"e{i}" for i in range(3000)]
+    decl = ChronologyDecl("c", tuple(ids), tuple(zip(ids, ids[1:])))
+    chron = build_chronology([Event(e, "s") for e in ids], decl)
+    assert enumerate_runs(chron) == [tuple(ids)]
+
+
+def test_run_set_valid_runs_at_most_once_per_run(monkeypatch, airport_chronology):
+    real, calls = behavior.run_set_valid, []
+    monkeypatch.setattr(behavior, "run_set_valid", lambda c, s: calls.append(s) or real(c, s))
+    for chron, count in ((airport_chronology, 4), (diamonds(5), 32)):
+        calls.clear()
+        runs = enumerate_runs(chron)
+        assert len(runs) == count
+        assert 0 < len(calls) <= len(runs)
+
+
+def test_enumeration_matches_the_subset_oracle():
+    rng = random.Random(53)
+    for _ in range(200):
+        events, decl = random_chronology(rng, rng.randint(1, 12))
+        chron = build_chronology(events, decl)
+        assert enumerate_runs(chron, bound=100_000) == enumerate_runs_by_subsets(chron, bound=100_000), decl
+
+
+@st.composite
+def declared_chronologies(draw):
+    """Chronologies with explicit start/end sets and overlapping groups: any
+    event may be a start or an end, whatever its edges."""
+    ids = [f"e{i}" for i in range(draw(st.integers(1, 10)))]
+    rank = draw(st.permutations(ids))
+    pairs = [(u, v) for i, u in enumerate(rank) for v in rank[i + 1:]]
+    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    some_ids = st.sets(st.sampled_from(ids))
+    starts, ends = draw(some_ids), draw(some_ids)
+    member_sets = draw(st.lists(st.sets(st.sampled_from(ids), min_size=2), max_size=3)) if len(ids) > 1 else []
+    groups = [ExclusiveGroup(f"x{i}", frozenset(m)) for i, m in enumerate(member_sets)]
+    decl = ChronologyDecl("c", tuple(ids), tuple(edges), tuple(groups), tuple(sorted(starts)), tuple(sorted(ends)))
+    try:
+        return build_chronology([Event(e, "s") for e in ids], decl)
+    except EdgeInsideExclusiveGroup:
+        assume(False)
+
+
+@given(declared_chronologies())
+@settings(max_examples=300, deadline=None)
+def test_enumeration_matches_the_subset_oracle_on_declared_starts_and_ends(chron):
+    assert enumerate_runs(chron, bound=100_000) == enumerate_runs_by_subsets(chron, bound=100_000)
+
+
 # -- oracle equivalence -------------------------------------------------------
 
 
@@ -238,7 +315,7 @@ def test_evaluate_agrees_with_run_enumeration_on_small_dags():
         n = rng.randint(2, 6)
         events, decl = random_chronology(rng, n)
         chron = build_chronology(events, decl)
-        run_sets = {frozenset(r) for r in enumerate_runs(chron, bound=100000)}
+        run_sets = {frozenset(r) for r in enumerate_runs_by_subsets(chron, bound=100000)}
         ids = sorted(chron.events)
         for size in range(0, n + 1):
             for subset in itertools.combinations(ids, size):
@@ -254,7 +331,7 @@ def test_evaluate_agrees_with_run_enumeration_up_to_twelve_events():
         n = rng.randint(8, 12)
         events, decl = random_chronology(rng, n)
         chron = build_chronology(events, decl)
-        run_sets = {frozenset(r) for r in enumerate_runs(chron, bound=1_000_000)}
+        run_sets = {frozenset(r) for r in enumerate_runs_by_subsets(chron, bound=1_000_000)}
         ids = sorted(chron.events)
         for run in sorted(run_sets, key=sorted)[:50]:
             assert evaluate_trace(chron, trace_of(*canonical_order(chron, run))).truth
@@ -271,7 +348,7 @@ def test_run_sets_round_trip_canonical_order():
         n = rng.randint(2, 8)
         events, decl = random_chronology(rng, n)
         chron = build_chronology(events, decl)
-        for run in enumerate_runs(chron, bound=100000):
+        for run in enumerate_runs_by_subsets(chron, bound=100000):
             occurred = frozenset(run)
             assert run_set_valid(chron, occurred)
             assert tuple(canonical_order(chron, occurred)) == run
