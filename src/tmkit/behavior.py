@@ -345,6 +345,10 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
 
 # --- Run enumeration ---------------------------------------------------------
 
+# enumerate_runs gives up after this many search steps per unit of bound and
+# per event; a search with no dead branches takes about one per run and event.
+_SEARCH_STEPS_PER_RUN_EVENT = 16
+
 
 def run_set_valid(chronology: Chronology, occurred: frozenset[str]) -> bool:
     """Set-level run test, independent of any trace ordering.
@@ -381,11 +385,17 @@ def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[st
     cut as soon as it breaks a run rule that no later decision can mend: an
     included event needs to be a start or follow an included predecessor, to
     have no included rival in an exclusive group, and to be an end or have a
-    successor; an event cannot be excluded when it is the last successor left
-    to an included, unfinished predecessor. Each leaf is confirmed with
+    successor that leads to an end and has no included rival; an event cannot
+    be excluded when it is the last such successor left to an included,
+    unfinished predecessor. Without exclusive groups every branch ends in a
+    run (or the empty set); with them a branch can still die further on,
+    since these prunes look one step ahead. Each leaf is confirmed with
     run_set_valid, so the search can miss a run but never invent one; tests
-    cross-check it against an exhaustive subset scan. Raises BoundExceeded
-    when the run count passes ``bound``.
+    cross-check it against an exhaustive subset scan.
+
+    Raises BoundExceeded when the run count passes ``bound``, or when the
+    search takes more than _SEARCH_STEPS_PER_RUN_EVENT * bound * len(events)
+    steps, which caps the dead branches a chronology with few runs can cost.
     """
     if bound < len(chronology.events):
         raise ValueError(f"bound {bound} is smaller than the event count {len(chronology.events)}")
@@ -394,36 +404,50 @@ def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[st
     at = {e: i for i, e in enumerate(order)}
     preds = [[at[p] for p in chronology.predecessors(e)] for e in order]
     startable = [e in chronology.starts for e in order]
-    closable = [e in chronology.ends or bool(chronology.successors(e)) for e in order]
-    # earlier events that share an exclusive group with each event
-    rivals: list[set[int]] = [set() for _ in order]
+    endable = [e in chronology.ends for e in order]
+    # an event can be in a run only if a path of successors leads from it to an end
+    closable = endable.copy()
+    for i in reversed(range(len(order))):
+        closable[i] = closable[i] or any(closable[at[s]] for s in chronology.successors(order[i]))
+    succs = [sorted(at[s] for s in chronology.successors(e) if closable[at[s]]) for e in order]
+    mates: list[set[int]] = [set() for _ in order]  # members of the same exclusive groups
     for g in chronology.groups:
         for a in g.members:
-            rivals[at[a]].update(at[b] for b in g.members if at[b] < at[a])
-    # (p, p's other successors) for each unfinished p whose last successor this is
+            mates[at[a]].update(at[b] for b in g.members if b != a)
+    # (p, p's other successors in succs) for each unfinished p whose last one this is
     last_chance: list[list[tuple[int, list[int]]]] = [[] for _ in order]
-    for p, e in enumerate(order):
-        succ = sorted(at[s] for s in chronology.successors(e))
-        if succ and e not in chronology.ends:
+    for p, succ in enumerate(succs):
+        if succ and not endable[p]:
             last_chance[succ[-1]].append((p, succ[:-1]))
 
     taken: list[bool] = []  # the decision for order[i] is taken[i]
+
+    def free(j: int, i: int) -> bool:
+        """Whether no rival of order[j] is among the included order[:i]."""
+        return not mates[j] or not any(taken[r] for r in mates[j] if r < i)
 
     def choices(i: int) -> list[tuple[int, bool]]:
         out = []
         if not any(taken[p] and not any(taken[s] for s in others) for p, others in last_chance[i]):
             out.append((i, False))
         if (
-            closable[i]
-            and (startable[i] or any(taken[p] for p in preds[i]))
-            and not any(taken[r] for r in rivals[i])
+            (startable[i] or any(taken[p] for p in preds[i]))
+            and free(i, i)
+            and (endable[i] or any(free(s, i) for s in succs[i]))
         ):
             out.append((i, True))
         return out
 
     runs: list[tuple[str, ...]] = []
+    max_steps = _SEARCH_STEPS_PER_RUN_EVENT * bound * len(order)
+    steps = 0
     stack = choices(0) if order else []
     while stack:
+        steps += 1
+        if steps > max_steps:
+            raise BoundExceeded(
+                f"chronology '{chronology.id}': run search passed {max_steps} steps (bound {bound})"
+            )
         i, take = stack.pop()
         del taken[i:]
         taken.append(take)

@@ -253,6 +253,46 @@ def test_long_linear_chronology_has_one_run():
     assert enumerate_runs(chron) == [tuple(ids)]
 
 
+def fan(n: int, via: str = "") -> Chronology:
+    """s -> x0..x{n-1} -> [via ->] y with exclusive {s | y}: no runs at all.
+
+    Once s is in, every non-empty choice of x's is dead, because y cannot join
+    s; the x's see that only if they look ahead to y.
+    """
+    xs = [f"x{i}" for i in range(n)]
+    edges = [("s", x) for x in xs] + [(x, via or "y") for x in xs] + ([(via, "y")] if via else [])
+    ids = ["s", *xs, *([via] if via else []), "y"]
+    decl = ChronologyDecl("c", tuple(ids), tuple(edges), (ExclusiveGroup("g", frozenset({"s", "y"})),))
+    return build_chronology([Event(e, "s") for e in ids], decl)
+
+
+def test_successor_blocked_by_a_rival_is_seen_at_include_time():
+    # at the smallest legal bound the search may take 16 * 42 * 42 steps
+    # (behavior._SEARCH_STEPS_PER_RUN_EVENT); walking the 2^40 choices of x's
+    # would pass that and raise BoundExceeded
+    chron = fan(40)
+    assert enumerate_runs(chron, bound=len(chron.events)) == []
+
+
+def test_events_with_no_path_to_an_end_are_never_included():
+    # end: y only, so d (no successors) and every x that leads only to d can
+    # never be in a run; including x's would walk 2^40 dead branches
+    xs = [f"x{i}" for i in range(40)]
+    ids = ["s", *xs, "d", "y"]
+    edges = [("s", "y")] + [("s", x) for x in xs] + [(x, "d") for x in xs]
+    decl = ChronologyDecl("c", tuple(ids), tuple(edges), ends=("y",))
+    chron = build_chronology([Event(e, "s") for e in ids], decl)
+    assert enumerate_runs(chron, bound=len(ids)) == [("s", "y")]
+
+
+def test_search_steps_are_capped_by_the_bound():
+    # the dead end is two steps past the x's, beyond the include-time check
+    chron = fan(40, via="z")
+    with pytest.raises(BoundExceeded, match="steps"):
+        enumerate_runs(chron, bound=len(chron.events))
+    assert len(enumerate_runs(diamonds(5), bound=32)) == 32
+
+
 def test_run_set_valid_runs_at_most_once_per_run(monkeypatch, airport_chronology):
     real, calls = behavior.run_set_valid, []
     monkeypatch.setattr(behavior, "run_set_valid", lambda c, s: calls.append(s) or real(c, s))
