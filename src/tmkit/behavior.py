@@ -91,6 +91,18 @@ class Chronology:
     def _windows(self) -> dict[str, tuple[int, int]]:
         return dict(self.windows)
 
+    @cached_property
+    def closable(self) -> frozenset[str]:
+        """Events with a path of successors to an end; no run holds any other."""
+        reach = set(self.ends)
+        stack = list(reach)
+        while stack:
+            for p in self.predecessors(stack.pop()):
+                if p not in reach:
+                    reach.add(p)
+                    stack.append(p)
+        return frozenset(reach)
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -405,11 +417,7 @@ def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[st
     preds = [[at[p] for p in chronology.predecessors(e)] for e in order]
     startable = [e in chronology.starts for e in order]
     endable = [e in chronology.ends for e in order]
-    # an event can be in a run only if a path of successors leads from it to an end
-    closable = endable.copy()
-    for i in reversed(range(len(order))):
-        closable[i] = closable[i] or any(closable[at[s]] for s in chronology.successors(order[i]))
-    succs = [sorted(at[s] for s in chronology.successors(e) if closable[at[s]]) for e in order]
+    succs = [sorted(at[s] for s in chronology.successors(e) if s in chronology.closable) for e in order]
     mates: list[set[int]] = [set() for _ in order]  # members of the same exclusive groups
     for g in chronology.groups:
         for a in g.members:

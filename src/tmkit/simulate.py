@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
-from .behavior import Chronology, Trace, run_set_valid, topological_order
+from .behavior import Chronology, ExclusiveGroup, Trace, run_set_valid, topological_order
 from .errors import Deadlock, IllegalAction, NotEnabled, PolicyError
 from .events import Event, Subdiagram
 from .model import Arc, ArcKind, StageKind, StageRef, StaticModel, Thimac
@@ -65,8 +65,40 @@ class Scripted(BranchPolicy):
 
     choices: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def _by_group(self) -> dict[str, str]:
+        return dict(self.choices)
+
     def chosen(self, group_name: str) -> Optional[str]:
-        return dict(self.choices).get(group_name)
+        return self._by_group.get(group_name)
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What firing a subdiagram does, each part in flow order."""
+
+    creates: tuple[StageRef, ...]
+    flows: tuple[Arc, ...]
+    processes: tuple[StageRef, ...]
+    triggers: tuple[StageRef, ...]  # creations queued for after the event, in arc-id order
+
+
+def _plan(sub: Subdiagram, model: StaticModel) -> _Plan:
+    """Rank the stages in flow order (ties, and stages on a flow cycle, keep
+    declaration order) and lay out the subdiagram's actions by that rank."""
+    arcs = [a for aid in sub.arcs if (a := model.arc(aid)) is not None]
+    flows = [a for a in arcs if a.kind is ArcKind.FLOW]
+    index = {ref: i for i, ref in enumerate(sub.stages)}
+    order, leftover = topological_order(index, ((a.src, a.dst) for a in flows), index.__getitem__)
+    rank = {ref: i for i, ref in enumerate(order + leftover)}
+    stages = sorted(sub.stages, key=rank.__getitem__)
+    flows.sort(key=lambda a: (rank.get(a.src, len(rank)), rank.get(a.dst, len(rank)), a.id))
+    return _Plan(
+        creates=tuple(r for r in stages if r.kind is StageKind.CREATE),
+        flows=tuple(flows),
+        processes=tuple(r for r in stages if r.kind is StageKind.PROCESS),
+        triggers=tuple(a.dst for a in sorted(arcs, key=lambda a: a.id) if a.kind is ArcKind.TRIGGER),
+    )
 
 
 @dataclass(frozen=True)
@@ -77,8 +109,8 @@ class SimContext:
     chronology: Chronology
 
     @cached_property
-    def subdiagram_by_id(self) -> dict[str, Subdiagram]:
-        return {s.id: s for s in self.subdiagrams}
+    def plans(self) -> dict[str, _Plan]:
+        return {s.id: _plan(s, self.model) for s in self.subdiagrams}
 
     @cached_property
     def event_by_id(self) -> dict[str, Event]:
@@ -90,6 +122,26 @@ class SimContext:
         moves to a transfer stage outside this set leaves the system."""
         return frozenset(a.src for a in self.model.arcs if a.kind is ArcKind.FLOW and a.cross_machine)
 
+    @cached_property
+    def roots(self) -> frozenset[str]:
+        chron = self.chronology
+        return frozenset(e for e in chron.events if not chron.predecessors(e))
+
+    @cached_property
+    def rivals(self) -> dict[str, frozenset[str]]:
+        """Each event's fellow members across all its exclusive groups."""
+        out: dict[str, frozenset[str]] = {}
+        for g in self.chronology.groups:
+            for m in g.members:
+                out[m] = out.get(m, frozenset()) | (g.members - {m})
+        return out
+
+    @cached_property
+    def group_of(self) -> dict[str, ExclusiveGroup]:
+        """The group a scripted choice for an event is looked up in: the
+        last declared one that holds it."""
+        return {m: g for g in self.chronology.groups for m in g.members}
+
 
 @dataclass(frozen=True)
 class SimState:
@@ -99,9 +151,14 @@ class SimState:
     spawned: frozenset[str] = frozenset()  # labels created so far, one instance each
     log: tuple[tuple[str, int], ...] = ()
     pending_triggers: tuple[StageRef, ...] = ()
-
-    def fired(self) -> frozenset[str]:
-        return frozenset(e for e, _ in self.log)
+    # Chronology bookkeeping, brought up to date once per firing. An event
+    # is settled once it has fired or is dead, i.e. can never fire: no run
+    # holds it, a rival in an exclusive group fired, or every one of its
+    # predecessors is dead.
+    fired: frozenset[str] = frozenset()
+    dead: frozenset[str] = frozenset()
+    ready: frozenset[str] = frozenset()  # unsettled events whose predecessors have all settled
+    unfinished: frozenset[str] = frozenset()  # fired non-end events with no fired successor
 
     def at(self, ref: StageRef) -> list[ThingInstance]:
         return sorted((i for i in self.instances if i.location == ref), key=lambda i: i.id)
@@ -120,7 +177,10 @@ class SimState:
 
 
 def initial_state(model: StaticModel, subdiagrams: Sequence[Subdiagram], events: Sequence[Event], chronology: Chronology) -> SimState:
-    return SimState(ctx=SimContext(model, tuple(subdiagrams), tuple(events), chronology))
+    ctx = SimContext(model, tuple(subdiagrams), tuple(events), chronology)
+    # no run holds a root that is not a start, or an event with no path to an end
+    doomed = (ctx.roots - chronology.starts) | (chronology.events - chronology.closable)
+    return _settle(SimState(ctx=ctx, ready=ctx.roots), (), doomed)
 
 
 def _put(state: SimState, inst: ThingInstance) -> SimState:
@@ -167,46 +227,47 @@ def _act(state: SimState, inst: ThingInstance, target: StageRef) -> SimState:
 # Event firing
 
 
-def _topo_stage_order(sub: Subdiagram, arcs: Sequence[Arc]) -> dict[StageRef, int]:
-    """Rank the stages in flow order. Ties, and stages on a flow cycle, keep
-    declaration order."""
-    index = {ref: i for i, ref in enumerate(sub.stages)}
-    flows = ((a.src, a.dst) for a in arcs if a.kind is ArcKind.FLOW)
-    order, leftover = topological_order(index, flows, index.__getitem__)
-    return {ref: i for i, ref in enumerate(order + leftover)}
+def _settle(state: SimState, fired_now: Iterable[str], doomed: Iterable[str]) -> SimState:
+    """Kill the unsettled ``doomed`` events and, in turn, every event whose
+    predecessors are all dead; then admit to the ready set the successors of
+    the events just settled (``fired_now``, already in ``state.fired``, and
+    the new dead) whose predecessors have all settled."""
+    chron = state.ctx.chronology
+    fired, dead, settled_now = state.fired, state.dead, list(fired_now)
+    stack = [e for e in doomed if e not in fired and e not in dead]
+    if stack:
+        dead = set(dead)
+        while stack:
+            e = stack.pop()
+            if e in dead:
+                continue
+            dead.add(e)
+            settled_now.append(e)
+            stack.extend(s for s in chron.successors(e) if s not in fired and chron.predecessors(s) <= dead)
+        dead = frozenset(dead)
+
+    def settled(e: str) -> bool:
+        return e in fired or e in dead
+
+    ready = {e for e in state.ready if not settled(e)}
+    ready.update(
+        s
+        for e in settled_now
+        for s in chron.successors(e)
+        if not settled(s) and all(settled(p) for p in chron.predecessors(s))
+    )
+    return replace(state, dead=dead, ready=frozenset(ready))
+
+
+def _enabled(state: SimState, event_id: str) -> bool:
+    """Whether the event is ready and its admissible window has not closed."""
+    w = state.ctx.chronology.window_of(event_id)
+    return event_id in state.ready and (w is None or max(state.step, w[0]) <= w[1])
 
 
 def enabled_events(state: SimState) -> list[str]:
     """Events whose chronology predecessors have fired or can never fire."""
-    chron = state.ctx.chronology
-    fired = state.fired()
-
-    def excluded(e: str) -> bool:
-        return any(e in g.members and (g.members & fired) - {e} for g in chron.groups)
-
-    dead: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for e in chron.events:
-            if e in fired or e in dead:
-                continue
-            preds = chron.predecessors(e)
-            if excluded(e) or (preds and all(p in dead for p in preds)):
-                dead.add(e)
-                changed = True
-
-    out = []
-    for e in sorted(chron.events - fired):
-        if e in dead:
-            continue
-        if any(p not in fired and p not in dead for p in chron.predecessors(e)):
-            continue
-        w = chron.window_of(e)
-        if w is not None and max(state.step, w[0]) > w[1]:
-            continue  # the admissible window has closed
-        out.append(e)
-    return out
+    return sorted(e for e in state.ready if _enabled(state, e))
 
 
 def fire_event(state: SimState, event_id: str) -> SimState:
@@ -218,22 +279,16 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     and IllegalAction names the starved stage.
     """
     ctx = state.ctx
-    if event_id not in enabled_events(state):
+    if not _enabled(state, event_id):
         raise NotEnabled(f"event '{event_id}' is not enabled")
-    sub = ctx.subdiagram_by_id[ctx.event_by_id[event_id].subdiagram]
-    arcs = [a for aid in sub.arcs if (a := ctx.model.arc(aid)) is not None]
-    rank = _topo_stage_order(sub, arcs)
+    plan = ctx.plans[ctx.event_by_id[event_id].subdiagram]
 
-    for ref in sorted((r for r in sub.stages if r.kind is StageKind.CREATE), key=lambda r: rank[r]):
+    for ref in plan.creates:
         state = _spawn(state, ref.thimac)
 
     visited: set[StageRef] = set()
     moved_from: set[StageRef] = set()
-    flows = sorted(
-        (a for a in arcs if a.kind is ArcKind.FLOW),
-        key=lambda a: (rank.get(a.src, len(rank)), rank.get(a.dst, len(rank)), a.id),
-    )
-    for arc in flows:
+    for arc in plan.flows:
         for inst in state.at(arc.src):
             state = _act(state, inst, arc.dst)
             visited.add(arc.dst)
@@ -242,8 +297,8 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     # Every process stage of the event must transform something: either the
     # event's own flows feed it, or it is the departure point of a move, or
     # it acts in place on things already in the machine.
-    fed = {a.dst for a in flows}
-    for ref in sorted((r for r in sub.stages if r.kind is StageKind.PROCESS), key=lambda r: rank[r]):
+    fed = {a.dst for a in plan.flows}
+    for ref in plan.processes:
         if ref in fed:
             if ref not in visited:
                 raise IllegalAction(ref, f"event '{event_id}' has nothing to process")
@@ -256,12 +311,19 @@ def fire_event(state: SimState, event_id: str) -> SimState:
         for inst in present:
             state = _act(state, inst, ref)
 
-    queued = tuple(a.dst for a in sorted(arcs, key=lambda a: a.id) if a.kind is ArcKind.TRIGGER)
-    state = replace(state, pending_triggers=state.pending_triggers + queued)
+    state = replace(state, pending_triggers=state.pending_triggers + plan.triggers)
 
-    window = ctx.chronology.window_of(event_id)
+    chron = ctx.chronology
+    window = chron.window_of(event_id)
     step = state.step if window is None else max(state.step, window[0])
-    state = replace(state, log=state.log + ((event_id, step),), step=step + 1)
+    state = replace(
+        state,
+        log=state.log + ((event_id, step),),
+        step=step + 1,
+        fired=state.fired | {event_id},
+        unfinished=(state.unfinished - chron.predecessors(event_id)) | ({event_id} - chron.ends),
+    )
+    state = _settle(state, (event_id,), ctx.rivals.get(event_id, ()))
 
     # triggers fire once the event has completed
     for ref in state.pending_triggers:
@@ -274,12 +336,12 @@ def fire_event(state: SimState, event_id: str) -> SimState:
 # Whole-run simulation
 
 
-def _choose(enabled: list[str], chron: Chronology, policy: BranchPolicy, rng: Optional[random.Random]) -> str:
+def _choose(enabled: list[str], ctx: SimContext, policy: BranchPolicy, rng: Optional[random.Random]) -> str:
     if isinstance(policy, Seeded):
         assert rng is not None
         return rng.choice(enabled)
     assert isinstance(policy, Scripted)
-    group_of = {m: g for g in chron.groups for m in g.members}
+    group_of = ctx.group_of
     choosable = []
     for e in enabled:
         g = group_of.get(e)
@@ -310,12 +372,13 @@ def simulate(
     state = initial_state(model, subdiagrams, events, chronology)
     rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
 
-    while not run_set_valid(chronology, state.fired()):
+    # a run leaves no fired event unfinished, so only then is the set checked
+    while state.unfinished or not run_set_valid(chronology, state.fired):
         enabled = enabled_events(state)
         if not enabled:
             raise Deadlock(
                 f"no event is enabled after [{', '.join(e for e, _ in state.log)}]; no complete run is reachable"
             )
-        state = fire_event(state, _choose(enabled, chronology, policy, rng))
+        state = fire_event(state, _choose(enabled, state.ctx, policy, rng))
 
     return Trace(trace_id, state.log)

@@ -2,8 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 import tmkit.behavior as behavior
 from tmkit.behavior import (
@@ -29,6 +28,7 @@ from tmkit.events import Event
 from conftest import load
 from genutil import random_chronology
 from oracles import enumerate_runs_by_subsets
+from strategies import declared_chronologies
 
 AIRPORT_RUNS = [
     ("E2", "E6", "E7", "E8", "E9", "E13", "E14"),
@@ -309,25 +309,6 @@ def test_enumeration_matches_the_subset_oracle():
         events, decl = random_chronology(rng, rng.randint(1, 12))
         chron = build_chronology(events, decl)
         assert enumerate_runs(chron, bound=100_000) == enumerate_runs_by_subsets(chron, bound=100_000), decl
-
-
-@st.composite
-def declared_chronologies(draw):
-    """Chronologies with explicit start/end sets and overlapping groups: any
-    event may be a start or an end, whatever its edges."""
-    ids = [f"e{i}" for i in range(draw(st.integers(1, 10)))]
-    rank = draw(st.permutations(ids))
-    pairs = [(u, v) for i, u in enumerate(rank) for v in rank[i + 1:]]
-    edges = sorted(draw(st.sets(st.sampled_from(pairs)))) if pairs else []
-    some_ids = st.sets(st.sampled_from(ids))
-    starts, ends = draw(some_ids), draw(some_ids)
-    member_sets = draw(st.lists(st.sets(st.sampled_from(ids), min_size=2), max_size=3)) if len(ids) > 1 else []
-    groups = [ExclusiveGroup(f"x{i}", frozenset(m)) for i, m in enumerate(member_sets)]
-    decl = ChronologyDecl("c", tuple(ids), tuple(edges), tuple(groups), tuple(sorted(starts)), tuple(sorted(ends)))
-    try:
-        return build_chronology([Event(e, "s") for e in ids], decl)
-    except EdgeInsideExclusiveGroup:
-        assume(False)
 
 
 @given(declared_chronologies())

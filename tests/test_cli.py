@@ -173,3 +173,27 @@ def test_simulate_rejects_an_unknown_subdiagram(tmp_path, capsys):
     status, out, err = run_cli(capsys, "simulate", str(bad))
     assert status == 1
     assert "E-EVENT-UNRESOLVED" in err
+
+
+NO_RUN_HOLDS = {
+    # C is a root but not a declared start
+    "non_start_root": "chronology c {\n  A -> B;\n  C -> B;\n  start: A;\n  end: B;\n}\n",
+    # C has no path to an end
+    "dead_end": "chronology c {\n  A -> B;\n  A -> C;\n  end: B;\n}\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_RUN_HOLDS))
+def test_simulate_skips_events_no_run_holds(tmp_path, capsys, name):
+    text = (
+        'model m { thimac a "A" { stages: create; things: "x"; } }\n'
+        'subdiagram s "S" { stages: a.create; }\n'
+        "event A = s\nevent B = s\nevent C = s\n" + NO_RUN_HOLDS[name]
+    )
+    path = tmp_path / f"{name}.tm"
+    path.write_text(text)
+    for seed in range(10):
+        status, out, err = run_cli(capsys, "simulate", str(path), "--seed", str(seed))
+        assert status == 0, (seed, err)
+        doc = parse_text(text + out).document
+        assert evaluate_trace(build_chronology(doc.events, doc.chronologies[0]), doc.traces[-1]).truth, seed

@@ -1,6 +1,10 @@
+import importlib
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tmkit.behavior import ChronologyDecl, build_chronology, evaluate_trace
 from tmkit.errors import Deadlock, IllegalAction, NotEnabled, PolicyError, TmkitError
@@ -17,7 +21,9 @@ from tmkit.simulate import (
 )
 
 from conftest import load
-from genutil import random_document
+from genutil import random_chronology, random_document
+from oracles import enabled_events_by_fixpoint
+from strategies import declared_chronologies
 
 C, P, R, T, V = StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE, StageKind.TRANSFER, StageKind.RECEIVE
 
@@ -291,3 +297,67 @@ def test_enabled_respects_exclusion(airport, airport_chronology):
     assert enabled_events(state) == ["E1", "E2"]
     state = fire_event(state, "E1")
     assert enabled_events(state) == ["E3"]
+
+
+# -- chronology bookkeeping ---------------------------------------------------
+
+
+def any_event_fires():
+    """A model and the one subdiagram ``s``, which can fire any number of times."""
+    model = build_model("m", [ThimacDecl("a", "A", [C], things=["x"])])
+    return model, [Subdiagram("s", "S", (StageRef("a", C),))]
+
+
+def walk_against_the_oracle(chron, rng):
+    """Fire random enabled events until none is left, checking the ready and
+    unfinished sets against their from-scratch definitions at every state."""
+    model, subs = any_event_fires()
+    state = initial_state(model, subs, [Event(e, "s") for e in chron.events], chron)
+    while True:
+        enabled = enabled_events(state)
+        assert enabled == enabled_events_by_fixpoint(state), state.log
+        assert state.unfinished == {
+            e for e in state.fired if e not in chron.ends and not chron.successors(e) & state.fired
+        }
+        if not enabled:
+            return
+        state = fire_event(state, rng.choice(enabled))
+
+
+def test_enabled_events_match_the_fixpoint_oracle():
+    rng = random.Random(29)
+    for _ in range(200):
+        events, decl = random_chronology(rng, rng.randint(1, 12))
+        ids = list(decl.event_ids)
+        if rng.random() < 0.5:
+            decl = replace(decl, starts=tuple(rng.sample(ids, rng.randint(1, len(ids)))))
+        if rng.random() < 0.5:
+            decl = replace(decl, ends=tuple(rng.sample(ids, rng.randint(1, len(ids)))))
+        for i, ev in enumerate(events):
+            if rng.random() < 0.3:
+                t0 = rng.randint(0, 8)
+                events[i] = replace(ev, window=(t0, t0 + rng.randint(0, 6)))
+        walk_against_the_oracle(build_chronology(events, decl), rng)
+
+
+@given(declared_chronologies(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_enabled_events_match_the_fixpoint_oracle_on_declared_starts_and_ends(chron, data):
+    window = st.tuples(st.integers(0, 8), st.integers(0, 6)).map(lambda w: (w[0], w[0] + w[1]))
+    windows = data.draw(st.dictionaries(st.sampled_from(sorted(chron.events)), window))
+    rng = random.Random(data.draw(st.integers(0, 99)))
+    walk_against_the_oracle(replace(chron, windows=tuple(sorted(windows.items()))), rng)
+
+
+def test_a_long_chain_checks_its_run_once(monkeypatch):
+    sim = importlib.import_module("tmkit.simulate")  # the package re-exports the function under this name
+    real, calls = sim.run_set_valid, []
+    monkeypatch.setattr(sim, "run_set_valid", lambda c, s: calls.append(s) or real(c, s))
+    ids = [f"e{i}" for i in range(2000)]
+    events = [Event(e, "s") for e in ids]
+    chron = build_chronology(events, ChronologyDecl("c", edges=tuple(zip(ids, ids[1:]))))
+    model, subs = any_event_fires()
+    trace = simulate(model, subs, events, chron, Seeded(0))
+    assert len(calls) <= 2
+    assert trace.events() == tuple(ids)
+    assert evaluate_trace(chron, trace).truth
