@@ -17,8 +17,10 @@ with source spans, never an exception.
 """
 from __future__ import annotations
 
+import re
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import diagnostics as dg
 from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
@@ -82,89 +84,65 @@ class ParseResult:
 # Tokens
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # ident | string | int | punct | eof | error
+class Token(NamedTuple):
+    kind: str  # ident | string | int | punct | eof
     text: str
-    line: int
-    col: int
+    pos: int  # offset of the first character in the source text
 
 
-_PUNCT_TWO = ("->", "..")
-_PUNCT_ONE = "{}:;,.@=[]|"
+# Whitespace and comments lead every match, so each token takes exactly one.
+# \d is str.isdecimal, exactly the digits int() accepts. \w also admits
+# numerals such as '²' or 'Ⅻ', so an identifier that does not start with an
+# ASCII letter or '_' is a ``word``, which must start with an alpha character.
+_TOKEN = re.compile(
+    r"""
+    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
+    (?: (?P<ident> [A-Za-z_]\w* )
+      | (?P<punct> -> | \.\. | [{}:;,.@=\[\]|] )
+      | (?P<int> \d+ )
+      | (?P<string> " (?P<body> (?: \\.? | [^"\\\n] )* ) (?P<close> ")? )
+      | (?P<word> [^\W\d]\w* )
+      | (?P<other> . )
+    )?
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_PLAIN = frozenset(("ident", "punct", "int"))
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def _tokenize(src: SourceFile, diags: list[dg.Diagnostic]) -> list[Token]:
+def _tokenize(text: str) -> tuple[list[Token], list[tuple[str, int]]]:
+    """The tokens of ``text``, ending in one eof token, and its lexical errors
+    as (message, offset) pairs."""
     toks: list[Token] = []
-    line, col = 1, 1
-    i, text, n = 0, src.text, len(src.text)
+    errors: list[tuple[str, int]] = []
+    match, append, new, pos = _TOKEN.match, toks.append, tuple.__new__, 0
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        if kind is None:
+            append(Token("eof", "", m.end()))
+            return toks, errors
+        start, pos = m.span(kind)
+        if kind in _PLAIN:
+            append(new(Token, (kind, m[kind], start)))  # Token(...) minus its Python-level __new__
+        elif kind == "string":
+            body = m["body"]
+            if "\\" in body:
+                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
+            if m["close"] is None:
+                errors.append(("unterminated string", start))
+            append(Token("string", body, start))
+        elif kind == "word" and text[start].isalpha():
+            append(Token("ident", m[kind], start))
+        else:
+            errors.append((f"unexpected character {text[start]!r}", start))
+            pos = start + 1
 
-    def span() -> dg.Span:
-        return dg.Span(src.path, line, col)
 
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text[i : i + 2] in _PUNCT_TWO:
-            toks.append(Token("punct", text[i : i + 2], line, col))
-            i, col = i + 2, col + 2
-            continue
-        if ch in _PUNCT_ONE:
-            toks.append(Token("punct", ch, line, col))
-            i, col = i + 1, col + 1
-            continue
-        if ch == '"':
-            start_line, start_col, j = line, col, i + 1
-            out = []
-            closed = False
-            while j < n and text[j] != "\n":
-                if text[j] == "\\" and j + 1 < n:
-                    esc = text[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
-                    j += 2
-                    continue
-                if text[j] == '"':
-                    closed = True
-                    j += 1
-                    break
-                out.append(text[j])
-                j += 1
-            if not closed:
-                diags.append(dg.error(dg.SYNTAX, "unterminated string", span=dg.Span(src.path, start_line, start_col)))
-            toks.append(Token("string", "".join(out), start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdecimal():  # exactly the digits int() accepts
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            toks.append(Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        diags.append(dg.error(dg.SYNTAX, f"unexpected character {ch!r}", span=span()))
-        i, col = i + 1, col + 1
-
-    toks.append(Token("eof", "", line, col))
-    return toks
+def _found(tok: Token) -> str:
+    return repr(tok.text if tok.kind != "eof" else "end of file")
 
 
 class _SyntaxError(Exception):
@@ -177,8 +155,10 @@ class _SyntaxError(Exception):
 class _Parser:
     def __init__(self, src: SourceFile):
         self.src = src
-        self.diags: list[dg.Diagnostic] = []
-        self.toks = _tokenize(src, self.diags)
+        self.toks, errors = _tokenize(src.text)
+        # offsets of the newlines, after a virtual one before the text
+        self.newlines = [-1] + [m.start() for m in re.finditer("\n", src.text)]
+        self.diags: list[dg.Diagnostic] = [dg.error(dg.SYNTAX, msg, span=self.span(at)) for msg, at in errors]
         self.pos = 0
         self.spans: dict[str, dg.Span] = {}
 
@@ -188,11 +168,11 @@ class _Parser:
         return self.toks[self.pos]
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def at_keyword(self, *words: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "ident" and t.text in words
 
     def advance(self) -> Token:
@@ -202,18 +182,19 @@ class _Parser:
         return t
 
     def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        t = self.peek()
-        expected = what or (text if text else kind)
-        got = t.text if t.kind != "eof" else "end of file"
-        raise _SyntaxError(f"expected {expected}, found {got!r}", t)
+        t = self.toks[self.pos]
+        if t.kind == kind and (text is None or t.text == text):
+            self.pos += 1
+            return t
+        raise _SyntaxError(f"expected {what or text or kind}, found {_found(t)}", t)
 
-    def span(self, tok: Token) -> dg.Span:
-        return dg.Span(self.src.path, tok.line, tok.col)
+    def span(self, pos: int) -> dg.Span:
+        """File, line and column of a source offset; columns count code points."""
+        line = bisect_left(self.newlines, pos)
+        return dg.Span(self.src.path, line, pos - self.newlines[line - 1])
 
     def report(self, message: str, tok: Token) -> None:
-        self.diags.append(dg.error(dg.SYNTAX, message, span=self.span(tok)))
+        self.diags.append(dg.error(dg.SYNTAX, message, span=self.span(tok.pos)))
 
     def sync_to_section(self) -> None:
         # On error, skip ahead to the next plausible section start.
@@ -250,7 +231,7 @@ class _Parser:
             rank = section_rank[t.text]
             if t.text == "model" and saw_model:
                 self.diags.append(
-                    dg.error(dg.DUPLICATE_SECTION, "a document holds exactly one model section", span=self.span(t))
+                    dg.error(dg.DUPLICATE_SECTION, "a document holds exactly one model section", span=self.span(t.pos))
                 )
             elif rank < reached:
                 self.report(f"{t.text} section out of order (sections go model, subdiagram, event, chronology, trace)", t)
@@ -324,7 +305,7 @@ class _Parser:
             elif self.at_keyword("flow", "trigger"):
                 arcs.append(self.arc_decl())
             else:
-                raise _SyntaxError(f"expected thimac, flow or trigger, found {self.peek().text!r}", self.peek())
+                raise _SyntaxError(f"expected thimac, flow or trigger, found {_found(self.peek())}", self.peek())
         self.expect("punct", "}")
         try:
             return build_model(name, thimacs, arcs, notation)
@@ -337,7 +318,7 @@ class _Parser:
         if depth > MAX_NESTING:
             raise _SyntaxError(f"thimacs nest more than {MAX_NESTING} deep", keyword)
         name_tok = self.expect("ident", what="thimac id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok))
+        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
         label = self.expect("string", what="thimac label").text
         self.expect("punct", "{")
         stages: list[StageKind] = []
@@ -380,14 +361,14 @@ class _Parser:
             elif self.at_keyword("thimac"):
                 children.append(self.thimac_decl(depth + 1))
             else:
-                raise _SyntaxError(f"expected stages, things or thimac, found {self.peek().text!r}", self.peek())
+                raise _SyntaxError(f"expected stages, things or thimac, found {_found(self.peek())}", self.peek())
         self.expect("punct", "}")
         return ThimacDecl(name_tok.text, label, stages, children, things, memory)
 
     def arc_decl(self) -> ArcDecl:
         kind = ArcKind.FLOW if self.advance().text == "flow" else ArcKind.TRIGGER
         name_tok = self.expect("ident", what="arc id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok))
+        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
         self.expect("punct", ":")
         src = self.stage_ref()
         self.expect("punct", "->")
@@ -406,7 +387,7 @@ class _Parser:
     def subdiagram_section(self) -> Subdiagram:
         self.expect("ident", "subdiagram")
         name_tok = self.expect("ident", what="subdiagram id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok))
+        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
         label = self.expect("string", what="subdiagram label").text
         self.expect("punct", "{")
         stages: list[StageRef] = []
@@ -433,14 +414,14 @@ class _Parser:
                     break
                 self.expect("punct", ";")
             else:
-                raise _SyntaxError(f"expected stages or arcs, found {self.peek().text!r}", self.peek())
+                raise _SyntaxError(f"expected stages or arcs, found {_found(self.peek())}", self.peek())
         self.expect("punct", "}")
         return Subdiagram(name_tok.text, label, tuple(stages), tuple(arcs))
 
     def event_section(self) -> Event:
         self.expect("ident", "event")
         name_tok = self.expect("ident", what="event id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok))
+        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
         self.expect("punct", "=")
         sub = self.expect("ident", what="subdiagram id").text
         window = None
@@ -455,7 +436,7 @@ class _Parser:
     def chronology_section(self, index: int) -> ChronologyDecl:
         self.expect("ident", "chronology")
         name_tok = self.expect("ident", what="chronology id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok))
+        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
         self.expect("punct", "{")
         explicit: list[str] = []
         edges: list[tuple[str, str]] = []
@@ -508,7 +489,7 @@ class _Parser:
                 ends = self.id_list()
                 self.expect("punct", ";")
             else:
-                raise _SyntaxError(f"expected a chronology item, found {self.peek().text!r}", self.peek())
+                raise _SyntaxError(f"expected a chronology item, found {_found(self.peek())}", self.peek())
         self.expect("punct", "}")
 
         seen_groups: set[str] = set()
@@ -537,7 +518,7 @@ class _Parser:
     def trace_section(self) -> Trace:
         self.expect("ident", "trace")
         name_tok = self.expect("ident", what="trace id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok))
+        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
         self.expect("punct", "=")
         self.expect("punct", "[")
         occurrences: list[tuple[str, int]] = []

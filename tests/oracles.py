@@ -2,6 +2,7 @@
 library functions, kept apart from the code they check."""
 from __future__ import annotations
 
+from tmkit import diagnostics as dg
 from tmkit.behavior import Chronology, canonical_order, run_set_valid
 from tmkit.errors import BoundExceeded
 
@@ -84,3 +85,81 @@ def enabled_events_by_fixpoint(state) -> list[str]:
             continue  # the admissible window has closed
         out.append(e)
     return out
+
+
+def tokenize_by_chars(path: str, text: str, diags: list) -> list[tuple[str, str, int, int]]:
+    """The (kind, text, line, col) tokens of a .tm text, scanned one character
+    at a time; lexical errors are appended to ``diags``.
+
+    The character-loop tokenizer that the master regex of ``tmkit.syntax``
+    replaced, kept as its differential oracle. Columns count code points.
+    It counts the columns a comment takes and the lines an escaped newline
+    in a string ends, which the loop it was taken from did not.
+    """
+    toks = []
+    line, col = 1, 1
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if ch in " \t\r":
+            i, col = i + 1, col + 1
+            continue
+        if ch == "#":
+            while i < n and text[i] != "\n":
+                i, col = i + 1, col + 1
+            continue
+        if text[i : i + 2] in ("->", ".."):
+            toks.append(("punct", text[i : i + 2], line, col))
+            i, col = i + 2, col + 2
+            continue
+        if ch in "{}:;,.@=[]|":
+            toks.append(("punct", ch, line, col))
+            i, col = i + 1, col + 1
+            continue
+        if ch == '"':
+            start_line, start_col, j = line, col, i + 1
+            out = []
+            closed = False
+            while j < n and text[j] != "\n":
+                if text[j] == "\\" and j + 1 < n:
+                    esc = text[j + 1]
+                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(esc, esc))
+                    j += 2
+                    continue
+                if text[j] == '"':
+                    closed = True
+                    j += 1
+                    break
+                out.append(text[j])
+                j += 1
+            if not closed:
+                diags.append(dg.error(dg.SYNTAX, "unterminated string", span=dg.Span(path, start_line, start_col)))
+            toks.append(("string", "".join(out), start_line, start_col))
+            lines = text[i:j].split("\n")  # more than one after an escaped newline
+            line, col = line + len(lines) - 1, (col if len(lines) == 1 else 1) + len(lines[-1])
+            i = j
+            continue
+        if ch.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            toks.append(("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            toks.append(("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        diags.append(dg.error(dg.SYNTAX, f"unexpected character {ch!r}", span=dg.Span(path, line, col)))
+        i, col = i + 1, col + 1
+
+    toks.append(("eof", "", line, col))
+    return toks

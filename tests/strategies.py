@@ -8,6 +8,8 @@ from tmkit.behavior import ChronologyDecl, ExclusiveGroup, build_chronology
 from tmkit.errors import EdgeInsideExclusiveGroup
 from tmkit.events import Event
 
+from conftest import FIXTURES
+
 
 @st.composite
 def declared_chronologies(draw):
@@ -26,3 +28,18 @@ def declared_chronologies(draw):
         return build_chronology([Event(e, "s") for e in ids], decl)
     except EdgeInsideExclusiveGroup:
         assume(False)
+
+
+# digits, numerals, spaces and letters beyond ASCII, and the characters
+# that open or extend a token
+SPLICE_CHARS = st.characters(categories=("Nd", "No", "Nl", "Zs", "Lo")) | st.sampled_from(['"', "\\", "#", "\r", "-", "."])
+
+
+@st.composite
+def spliced_fixtures(draw):
+    """A fixture's text with one to four short runs of SPLICE_CHARS inserted."""
+    text = draw(st.sampled_from(sorted(FIXTURES.glob("*.tm")))).read_text(encoding="utf-8")
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.text(SPLICE_CHARS, min_size=1, max_size=6)) + text[at:]
+    return text

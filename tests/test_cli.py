@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +201,13 @@ def test_simulate_skips_events_no_run_holds(tmp_path, capsys, name):
         assert status == 0, (seed, err)
         doc = parse_text(text + out).document
         assert evaluate_trace(build_chronology(doc.events, doc.chronologies[0]), doc.traces[-1]).truth, seed
+
+
+def test_python_dash_m_tmkit_runs_the_cli():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "tmkit", "check", fixture_path("airport.tm")], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert "14 subdiagrams, 14 events" in done.stdout

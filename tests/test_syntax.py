@@ -1,10 +1,18 @@
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
 
 from tmkit import diagnostics as dg
-from tmkit.syntax import MAX_NESTING, SourceFile, parse, parse_text, print_document
+from tmkit.cli import main
+from tmkit.syntax import MAX_NESTING, SourceFile, _Parser, parse, parse_text, print_document
 
 from conftest import FIXTURES, load
 from genutil import random_document
+from oracles import tokenize_by_chars
+from strategies import spliced_fixtures
 
 
 def test_airport_document_shape(airport):
@@ -135,3 +143,73 @@ def test_nesting_deeper_than_the_cap_is_a_syntax_error():
     res = parse_text(nested_thimacs(1500), path="deep.tm")
     assert res.document is None
     assert [(d.code, d.span.line) for d in res.diagnostics] == [(dg.SYNTAX, MAX_NESTING + 2)]
+
+
+def test_end_of_file_column_after_a_trailing_comment():
+    res = parse_text('model m {\n  thimac a "A" { stages: process; } # trailing', path="c.tm")
+    assert [str(d) for d in res.diagnostics] == [
+        "c.tm:2:47: error: E-SYNTAX: expected thimac, flow or trigger, found 'end of file'"
+    ]
+
+
+def test_escaped_newline_in_a_string_ends_a_line():
+    res = parse_text('model m {\n  thimac a "A\\\nB" { junk; }\n}', path="s.tm")
+    assert [str(d) for d in res.diagnostics] == [
+        "s.tm:3:6: error: E-SYNTAX: expected stages, things or thimac, found 'junk'"
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("model m {", "expected thimac, flow or trigger"),
+        ('model m {\n  thimac a "A" {', "expected stages, things or thimac"),
+        ('model m {\n}\nsubdiagram s "S" {', "expected stages or arcs"),
+        ("model m {\n}\nchronology c {", "expected a chronology item"),
+        ("model m {\n}\nevent E = s window 1..", "expected window end"),
+    ],
+)
+def test_end_of_file_is_named_in_grammar_errors(text, expected):
+    res = parse_text(text)
+    assert [d.message for d in res.diagnostics] == [f"{expected}, found 'end of file'"]
+
+
+def lexed(text):
+    """(tokens, diagnostics) of the parser's tokenizer and of the character
+    loop, tokens as (kind, text, line, col) and diagnostics as printed."""
+    p = _Parser(SourceFile("f.tm", text))
+    spans = [p.span(t.pos) for t in p.toks]
+    got = ([(t.kind, t.text, s.line, s.col) for t, s in zip(p.toks, spans)], [str(d) for d in p.diags])
+    diags = []
+    want = (tokenize_by_chars("f.tm", text, diags), [str(d) for d in diags])
+    return got, want
+
+
+def test_tokenizer_agrees_with_the_character_loop_on_every_code_point_below_u3000():
+    for cp in range(0x3000):
+        c = chr(cp)
+        for text in (c, f"a{c}1", f"{c}a", f'"\\{c}x\ny', f'"{c}\\'):
+            got, want = lexed(text)
+            assert got == want, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(spliced_fixtures())
+def test_tokenizer_agrees_with_the_character_loop_on_spliced_fixtures(text):
+    got, want = lexed(text)
+    assert got == want
+    res = parse_text(text)  # must not raise
+    assert res.document is not None or res.diagnostics
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=spliced_fixtures())
+def test_cli_check_exits_1_on_spliced_fixtures_that_do_not_parse(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "spliced.tm"
+    path.write_text(text, encoding="utf-8")
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        status = main(["check", str(path)])
+    if parse_text(text).document is None:
+        assert status == 1 and "parse failed" in err.getvalue()
+    else:
+        assert status in (0, 1)
