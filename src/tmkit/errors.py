@@ -11,11 +11,16 @@ class TmkitError(Exception):
 
 
 class DuplicateId(TmkitError):
-    pass
+    def __init__(self, kind: str, element_id: str):
+        super().__init__(f"duplicate {kind} id '{element_id}'")
+        self.kind = kind  # thimac or arc
+        self.element_id = element_id
 
 
 class UnresolvedStageRef(TmkitError):
-    pass
+    def __init__(self, arc_id: str, ref):
+        super().__init__(f"arc '{arc_id}' references unknown stage {ref}")
+        self.element_id = arc_id
 
 
 class ContainmentCycle(TmkitError):

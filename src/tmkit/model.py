@@ -182,7 +182,7 @@ def build_model(
             raise ContainmentCycle(f"thimac '{decl.id}' appears twice in the containment tree")
         seen_objects.add(id(decl))
         if decl.id in seen_ids:
-            raise DuplicateId(f"duplicate thimac id '{decl.id}'")
+            raise DuplicateId("thimac", decl.id)
         seen_ids.add(decl.id)
         return Thimac(
             id=decl.id,
@@ -200,13 +200,13 @@ def build_model(
     arc_ids: set[str] = set()
     for a in arcs:
         if a.id in arc_ids:
-            raise DuplicateId(f"duplicate arc id '{a.id}'")
+            raise DuplicateId("arc", a.id)
         arc_ids.add(a.id)
         src = StageRef(*a.src)
         dst = StageRef(*a.dst)
         for ref in (src, dst):
             if lookup(model, ref) is None:
-                raise UnresolvedStageRef(f"arc '{a.id}' references unknown stage {ref}")
+                raise UnresolvedStageRef(a.id, ref)
         frozen_arcs.append(Arc(a.id, a.kind, src, dst))
 
     return StaticModel(name=name, roots=roots, arcs=tuple(frozen_arcs), notation=notation)

@@ -18,13 +18,16 @@ with source spans, never an exception.
 from __future__ import annotations
 
 import re
+import string
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple, Optional
+from itertools import accumulate
+from operator import itemgetter
+from typing import Optional
 
 from . import diagnostics as dg
 from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
-from .errors import TmkitError
+from .errors import DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
 from .model import (
     ArcDecl,
@@ -83,129 +86,150 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Tokens
 
-
-class Token(NamedTuple):
-    kind: str  # ident | string | int | punct | eof
-    text: str
-    pos: int  # offset of the first character in the source text
-
-
-# Whitespace and comments lead every match, so each token takes exactly one.
-# \d is str.isdecimal, exactly the digits int() accepts. \w also admits
-# numerals such as '²' or 'Ⅻ', so an identifier that does not start with an
-# ASCII letter or '_' is a ``word``, which must start with an alpha character.
-_TOKEN = re.compile(
-    r"""
-    [ \t\r\n]* (?: \#[^\n]* [ \t\r\n]* )*
-    (?: (?P<ident> [A-Za-z_]\w* )
-      | (?P<punct> -> | \.\. | [{}:;,.@=\[\]|] )
-      | (?P<int> \d+ )
-      | (?P<string> " (?P<body> (?: \\.? | [^"\\\n] )* ) (?P<close> ")? )
-      | (?P<word> [^\W\d]\w* )
-      | (?P<other> . )
-    )?
-    """,
+# Every character that is not blank starts exactly one piece, so one split
+# yields the pieces with the blanks between them; a comment or a string is one
+# piece. \d is str.isdecimal, exactly the digits int() accepts. \w also admits
+# numerals such as '²' or 'Ⅻ': a word that starts with one is an error there.
+_PIECE = re.compile(
+    r"""( \#[^\n]* | " (?: \\.? | [^"\\\n] )* "? | -> | \.\. | \d+ | \w+ | [^ \t\r\n] )""",
     re.VERBOSE | re.DOTALL,
 )
-_PLAIN = frozenset(("ident", "punct", "int"))
+# token kind by first character; None for a comment, an error or non-ASCII
+_KIND = dict.fromkeys(string.ascii_letters + "_", "ident") | dict.fromkeys(string.digits, "int")
+_KIND |= dict.fromkeys("{}:;,.@=[]|-", "punct") | {'"': "string"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def _tokenize(text: str) -> tuple[list[Token], list[tuple[str, int]]]:
-    """The tokens of ``text``, ending in one eof token, and its lexical errors
-    as (message, offset) pairs."""
-    toks: list[Token] = []
+def _pieces(text: str, base: int = 0) -> tuple[list[Optional[str]], list[str], list[int]]:
+    """Kinds, texts and start offsets of the pieces of ``text``, plus its end offset."""
+    parts = _PIECE.split(text)
+    texts = parts[1::2]
+    starts = list(accumulate(map(len, parts), initial=base))[1::2]
+    return list(map(_KIND.get, map(itemgetter(0), texts))), texts, starts
+
+
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[tuple[str, int]]]:
+    """The token columns of ``text`` (kinds, texts and start offsets), ending
+    in one eof token, and its lexical errors as (message, offset) pairs."""
+    kinds, texts, starts = _pieces(text)
     errors: list[tuple[str, int]] = []
-    match, append, new, pos = _TOKEN.match, toks.append, tuple.__new__, 0
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        if kind is None:
-            append(Token("eof", "", m.end()))
-            return toks, errors
-        start, pos = m.span(kind)
-        if kind in _PLAIN:
-            append(new(Token, (kind, m[kind], start)))  # Token(...) minus its Python-level __new__
-        elif kind == "string":
-            body = m["body"]
-            if "\\" in body:
-                body = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body)
-            if m["close"] is None:
-                errors.append(("unterminated string", start))
-            append(Token("string", body, start))
-        elif kind == "word" and text[start].isalpha():
-            append(Token("ident", m[kind], start))
+    if None in set(kinds) or "-" in texts:
+        # rebuild the columns around the pieces the first character does not
+        # tell: comments, a lone '-', other errors and non-ASCII starts
+        columns, done = ([], [], []), 0
+        for i in [i for i, kind in enumerate(kinds) if kind is None or texts[i] == "-"]:
+            for column, old in zip(columns, (kinds, texts, starts)):
+                column += old[done:i]
+            done, todo = i + 1, [(None, texts[i], starts[i])]
+            while todo:
+                kind, piece, start = todo.pop()
+                c = piece[0]
+                kind = kind or ("ident" if c.isalpha() else "int" if c.isdecimal() else None)
+                if kind is not None:
+                    for column, value in zip(columns, (kind, piece, start)):
+                        column.append(value)
+                elif c != "#":
+                    errors.append((f"unexpected character {c!r}", start))
+                    todo += reversed(list(zip(*_pieces(piece[1:], start + 1))))
+        for column, old in zip(columns, (kinds, texts, starts)):
+            column += old[done:]
+        kinds, texts, starts = columns
+    i = 0
+    for _ in range(kinds.count("string")):
+        i = kinds.index("string", i)
+        body = texts[i][1:]  # closed when a quote is left once the escapes are gone
+        if (_ESCAPE.sub("", body) if "\\" in body else body).endswith('"'):
+            body = body[:-1]
         else:
-            errors.append((f"unexpected character {text[start]!r}", start))
-            pos = start + 1
-
-
-def _found(tok: Token) -> str:
-    return repr(tok.text if tok.kind != "eof" else "end of file")
+            errors.append(("unterminated string", starts[i]))
+        texts[i] = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body) if "\\" in body else body
+        i += 1
+    kinds.append("eof")
+    texts.append("")
+    errors.sort(key=itemgetter(1))
+    return kinds, texts, starts, errors
 
 
 class _SyntaxError(Exception):
-    def __init__(self, message: str, tok: Token):
+    def __init__(self, message: str, at: int):
         super().__init__(message)
         self.message = message
-        self.tok = tok
+        self.at = at  # token index
 
 
 class _Parser:
     def __init__(self, src: SourceFile):
         self.src = src
-        self.toks, errors = _tokenize(src.text)
-        # offsets of the newlines, after a virtual one before the text
-        self.newlines = [-1] + [m.start() for m in re.finditer("\n", src.text)]
+        self.kinds, self.texts, self.starts, errors = _tokenize(src.text)
+        # offsets of the newlines, between virtual ones before and after the text
+        self.newlines = list(accumulate(map((1).__add__, map(len, src.text.split("\n"))), initial=-1))
         self.diags: list[dg.Diagnostic] = [dg.error(dg.SYNTAX, msg, span=self.span(at)) for msg, at in errors]
-        self.pos = 0
+        self.pos = 0  # token index
         self.spans: dict[str, dg.Span] = {}
+        self.declared: list[int] = []  # token index of every declaration's id
 
     # -- token helpers
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
     def at(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+        i = self.pos
+        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
     def at_keyword(self, *words: str) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == "ident" and t.text in words
+        i = self.pos
+        return self.kinds[i] == "ident" and self.texts[i] in words
 
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
-        return t
+    def advance(self) -> str:
+        i = self.pos
+        if self.kinds[i] != "eof":
+            self.pos = i + 1
+        return self.texts[i]
 
-    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> Token:
-        t = self.toks[self.pos]
-        if t.kind == kind and (text is None or t.text == text):
-            self.pos += 1
-            return t
-        raise _SyntaxError(f"expected {what or text or kind}, found {_found(t)}", t)
+    def expect(self, kind: str, text: Optional[str] = None, what: str = "") -> str:
+        i = self.pos
+        if self.kinds[i] == kind and (text is None or self.texts[i] == text):
+            self.pos = i + 1
+            return self.texts[i]
+        raise self.unexpected(what or text or kind)
+
+    def unexpected(self, expected: str) -> _SyntaxError:
+        i = self.pos
+        found = self.texts[i] if self.kinds[i] != "eof" else "end of file"
+        return _SyntaxError(f"expected {expected}, found {found!r}", i)
+
+    def integer(self, what: str) -> int:
+        digits = self.expect("int", what=what)
+        try:
+            return int(digits)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise _SyntaxError(f"{what} has too many digits ({len(digits)})", self.pos - 1) from None
+
+    def declare(self, what: str) -> str:
+        """Expect a declaration's id; an id's first declaration gives its span."""
+        i = self.pos
+        name = self.expect("ident", what=what)
+        self.spans.setdefault(name, self.span(self.starts[i]))
+        self.declared.append(i)
+        return name
 
     def span(self, pos: int) -> dg.Span:
         """File, line and column of a source offset; columns count code points."""
         line = bisect_left(self.newlines, pos)
         return dg.Span(self.src.path, line, pos - self.newlines[line - 1])
 
-    def report(self, message: str, tok: Token) -> None:
-        self.diags.append(dg.error(dg.SYNTAX, message, span=self.span(tok.pos)))
+    def report(self, message: str, at: int) -> None:
+        self.diags.append(dg.error(dg.SYNTAX, message, span=self.span(self.starts[at])))
 
     def sync_to_section(self) -> None:
         # On error, skip ahead to the next plausible section start.
         depth = 0
         while not self.at("eof"):
-            t = self.peek()
-            if t.kind == "punct" and t.text == "{":
+            kind, text = self.kinds[self.pos], self.texts[self.pos]
+            if kind == "punct" and text == "{":
                 depth += 1
-            elif t.kind == "punct" and t.text == "}":
+            elif kind == "punct" and text == "}":
                 depth = max(0, depth - 1)
-            elif depth == 0 and t.kind == "ident" and t.text in _SECTION_KEYWORDS:
+            elif depth == 0 and kind == "ident" and text in _SECTION_KEYWORDS:
                 return
             self.advance()
 
@@ -222,42 +246,42 @@ class _Parser:
         reached = -1
 
         while not self.at("eof"):
-            t = self.peek()
-            if t.kind != "ident" or t.text not in _SECTION_KEYWORDS:
-                self.report(f"expected a section keyword ({', '.join(_SECTION_KEYWORDS)}), found {t.text!r}", t)
+            at, word = self.pos, self.texts[self.pos]
+            if not self.at_keyword(*_SECTION_KEYWORDS):
+                self.report(f"expected a section keyword ({', '.join(_SECTION_KEYWORDS)}), found {word!r}", at)
                 self.advance()
                 self.sync_to_section()
                 continue
-            rank = section_rank[t.text]
-            if t.text == "model" and saw_model:
+            rank = section_rank[word]
+            if word == "model" and saw_model:
                 self.diags.append(
-                    dg.error(dg.DUPLICATE_SECTION, "a document holds exactly one model section", span=self.span(t.pos))
+                    dg.error(dg.DUPLICATE_SECTION, "a document holds exactly one model section", span=self.span(self.starts[at]))
                 )
             elif rank < reached:
-                self.report(f"{t.text} section out of order (sections go model, subdiagram, event, chronology, trace)", t)
+                self.report(f"{word} section out of order (sections go model, subdiagram, event, chronology, trace)", at)
             reached = max(reached, rank)
             try:
-                if t.text == "model":
+                if word == "model":
                     first = not saw_model
                     saw_model = True
                     parsed = self.model_section()
                     if first:
                         model = parsed
-                elif t.text == "subdiagram":
+                elif word == "subdiagram":
                     subdiagrams.append(self.subdiagram_section())
-                elif t.text == "event":
+                elif word == "event":
                     events.append(self.event_section())
-                elif t.text == "chronology":
+                elif word == "chronology":
                     chronologies.append(self.chronology_section(len(chronologies)))
                 else:
                     traces.append(self.trace_section())
             except _SyntaxError as e:
-                self.report(e.message, e.tok)
+                self.report(e.message, e.at)
                 self.sync_to_section()
 
         if model is None:
             if not saw_model:
-                self.report("a document needs a model section", self.peek())
+                self.report("a document needs a model section", self.pos)
             return None
 
         self._check_unique("subdiagram", [s.id for s in subdiagrams])
@@ -291,7 +315,8 @@ class _Parser:
 
     def model_section(self) -> Optional[StaticModel]:
         self.expect("ident", "model")
-        name = self.expect("ident", what="model name").text
+        mark = len(self.declared)
+        name = self.expect("ident", what="model name")
         notation = Notation.FULL
         if self.at_keyword("simplified"):
             self.advance()
@@ -305,21 +330,23 @@ class _Parser:
             elif self.at_keyword("flow", "trigger"):
                 arcs.append(self.arc_decl())
             else:
-                raise _SyntaxError(f"expected thimac, flow or trigger, found {_found(self.peek())}", self.peek())
+                raise self.unexpected("thimac, flow or trigger")
         self.expect("punct", "}")
         try:
             return build_model(name, thimacs, arcs, notation)
-        except TmkitError as e:
-            self.diags.append(dg.error(dg.SYNTAX, str(e), span=dg.Span(self.src.path, 1, 1)))
+        except (DuplicateId, UnresolvedStageRef) as e:
+            # a duplicate at its second thimac or arc declaration, an unresolved stage at its arc
+            keywords = ("thimac",) if isinstance(e, DuplicateId) and e.kind == "thimac" else ("flow", "trigger")
+            at = [i for i in self.declared[mark:] if self.texts[i] == e.element_id and self.texts[i - 1] in keywords]
+            self.report(str(e), at[1] if isinstance(e, DuplicateId) else at[0])
             return None
 
     def thimac_decl(self, depth: int) -> ThimacDecl:
-        keyword = self.expect("ident", "thimac")
+        self.expect("ident", "thimac")
         if depth > MAX_NESTING:
-            raise _SyntaxError(f"thimacs nest more than {MAX_NESTING} deep", keyword)
-        name_tok = self.expect("ident", what="thimac id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
-        label = self.expect("string", what="thimac label").text
+            raise _SyntaxError(f"thimacs nest more than {MAX_NESTING} deep", self.pos - 1)
+        name = self.declare("thimac id")
+        label = self.expect("string", what="thimac label")
         self.expect("punct", "{")
         stages: list[StageKind] = []
         memory = False
@@ -330,19 +357,19 @@ class _Parser:
                 self.advance()
                 self.expect("punct", ":")
                 while True:
-                    tok = self.expect("ident", what="stage kind")
-                    if tok.text == "memory":
+                    word = self.expect("ident", what="stage kind")  # at self.pos - 1
+                    if word == "memory":
                         if memory:
-                            self.report("memory declared twice", tok)
+                            self.report("memory declared twice", self.pos - 1)
                         memory = True
-                    elif tok.text in _STAGE_WORDS:
-                        kind = _STAGE_WORDS[tok.text]
+                    elif word in _STAGE_WORDS:
+                        kind = _STAGE_WORDS[word]
                         if kind in stages:
-                            self.report(f"a machine holds one {kind.value} stage, '{name_tok.text}' declares two", tok)
+                            self.report(f"a machine holds one {kind.value} stage, '{name}' declares two", self.pos - 1)
                         else:
                             stages.append(kind)
                     else:
-                        raise _SyntaxError(f"unknown stage kind {tok.text!r}", tok)
+                        raise _SyntaxError(f"unknown stage kind {word!r}", self.pos - 1)
                     if self.at("punct", ","):
                         self.advance()
                         continue
@@ -352,7 +379,7 @@ class _Parser:
                 self.advance()
                 self.expect("punct", ":")
                 while True:
-                    things.append(self.expect("string", what="thing label").text)
+                    things.append(self.expect("string", what="thing label"))
                     if self.at("punct", ","):
                         self.advance()
                         continue
@@ -361,34 +388,32 @@ class _Parser:
             elif self.at_keyword("thimac"):
                 children.append(self.thimac_decl(depth + 1))
             else:
-                raise _SyntaxError(f"expected stages, things or thimac, found {_found(self.peek())}", self.peek())
+                raise self.unexpected("stages, things or thimac")
         self.expect("punct", "}")
-        return ThimacDecl(name_tok.text, label, stages, children, things, memory)
+        return ThimacDecl(name, label, stages, children, things, memory)
 
     def arc_decl(self) -> ArcDecl:
-        kind = ArcKind.FLOW if self.advance().text == "flow" else ArcKind.TRIGGER
-        name_tok = self.expect("ident", what="arc id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
+        kind = ArcKind.FLOW if self.advance() == "flow" else ArcKind.TRIGGER
+        name = self.declare("arc id")
         self.expect("punct", ":")
         src = self.stage_ref()
         self.expect("punct", "->")
         dst = self.stage_ref()
         self.expect("punct", ";")
-        return ArcDecl(name_tok.text, kind, src, dst)
+        return ArcDecl(name, kind, src, dst)
 
     def stage_ref(self) -> tuple[str, StageKind]:
-        thimac = self.expect("ident", what="thimac id").text
+        thimac = self.expect("ident", what="thimac id")
         self.expect("punct", ".")
-        tok = self.expect("ident", what="stage kind")
-        if tok.text not in _STAGE_WORDS:
-            raise _SyntaxError(f"unknown stage kind {tok.text!r}", tok)
-        return (thimac, _STAGE_WORDS[tok.text])
+        word = self.expect("ident", what="stage kind")
+        if word not in _STAGE_WORDS:
+            raise _SyntaxError(f"unknown stage kind {word!r}", self.pos - 1)
+        return (thimac, _STAGE_WORDS[word])
 
     def subdiagram_section(self) -> Subdiagram:
         self.expect("ident", "subdiagram")
-        name_tok = self.expect("ident", what="subdiagram id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
-        label = self.expect("string", what="subdiagram label").text
+        name = self.declare("subdiagram id")
+        label = self.expect("string", what="subdiagram label")
         self.expect("punct", "{")
         stages: list[StageRef] = []
         arcs: list[str] = []
@@ -407,36 +432,34 @@ class _Parser:
                 self.advance()
                 self.expect("punct", ":")
                 while True:
-                    arcs.append(self.expect("ident", what="arc id").text)
+                    arcs.append(self.expect("ident", what="arc id"))
                     if self.at("punct", ","):
                         self.advance()
                         continue
                     break
                 self.expect("punct", ";")
             else:
-                raise _SyntaxError(f"expected stages or arcs, found {_found(self.peek())}", self.peek())
+                raise self.unexpected("stages or arcs")
         self.expect("punct", "}")
-        return Subdiagram(name_tok.text, label, tuple(stages), tuple(arcs))
+        return Subdiagram(name, label, tuple(stages), tuple(arcs))
 
     def event_section(self) -> Event:
         self.expect("ident", "event")
-        name_tok = self.expect("ident", what="event id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
+        name = self.declare("event id")
         self.expect("punct", "=")
-        sub = self.expect("ident", what="subdiagram id").text
+        sub = self.expect("ident", what="subdiagram id")
         window = None
         if self.at_keyword("window"):
             self.advance()
-            t0 = int(self.expect("int", what="window start").text)
+            t0 = self.integer("window start")
             self.expect("punct", "..")
-            t1 = int(self.expect("int", what="window end").text)
-            window = (t0, t1)
-        return Event(name_tok.text, sub, window)
+            window = (t0, self.integer("window end"))
+        return Event(name, sub, window)
 
     def chronology_section(self, index: int) -> ChronologyDecl:
         self.expect("ident", "chronology")
-        name_tok = self.expect("ident", what="chronology id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
+        at = self.pos
+        name = self.declare("chronology id")
         self.expect("punct", "{")
         explicit: list[str] = []
         edges: list[tuple[str, str]] = []
@@ -447,12 +470,11 @@ class _Parser:
         while not self.at("punct", "}"):
             # an identifier followed by '->' is an edge, even when the event
             # id collides with an item keyword like 'end'
-            next_tok = self.toks[min(self.pos + 1, len(self.toks) - 1)]
-            if self.at("ident") and next_tok.kind == "punct" and next_tok.text == "->":
-                chain = [self.advance().text]
+            if self.at("ident") and self.kinds[self.pos + 1] == "punct" and self.texts[self.pos + 1] == "->":
+                chain = [self.advance()]
                 while self.at("punct", "->"):
                     self.advance()
-                    chain.append(self.expect("ident", what="event id").text)
+                    chain.append(self.expect("ident", what="event id"))
                 edges.extend(zip(chain, chain[1:]))
                 self.expect("punct", ";")
             elif self.at_keyword("events"):
@@ -463,7 +485,7 @@ class _Parser:
             elif self.at_keyword("exclusive"):
                 self.advance()
                 if self.at("ident"):
-                    group_name = self.advance().text
+                    group_name = self.advance()
                 else:
                     auto += 1
                     group_name = f"x{auto}"
@@ -471,10 +493,10 @@ class _Parser:
                         auto += 1
                         group_name = f"x{auto}"
                 self.expect("punct", "{")
-                members = [self.expect("ident", what="event id").text]
+                members = [self.expect("ident", what="event id")]
                 while self.at("punct", "|"):
                     self.advance()
-                    members.append(self.expect("ident", what="event id").text)
+                    members.append(self.expect("ident", what="event id"))
                 self.expect("punct", "}")
                 self.expect("punct", ";")
                 groups.append(ExclusiveGroup(group_name, frozenset(members)))
@@ -489,17 +511,17 @@ class _Parser:
                 ends = self.id_list()
                 self.expect("punct", ";")
             else:
-                raise _SyntaxError(f"expected a chronology item, found {_found(self.peek())}", self.peek())
+                raise self.unexpected("a chronology item")
         self.expect("punct", "}")
 
         seen_groups: set[str] = set()
         for g in groups:
             if g.name in seen_groups:
-                self.report(f"chronology '{name_tok.text}' names exclusive group '{g.name}' twice", name_tok)
+                self.report(f"chronology '{name}' names exclusive group '{g.name}' twice", at)
             seen_groups.add(g.name)
 
         decl = ChronologyDecl(
-            id=name_tok.text,
+            id=name,
             event_ids=tuple(explicit),
             edges=tuple(edges),
             groups=tuple(groups),
@@ -509,31 +531,29 @@ class _Parser:
         return replace(decl, event_ids=tuple(sorted(decl.mentioned())))
 
     def id_list(self) -> list[str]:
-        ids = [self.expect("ident", what="event id").text]
+        ids = [self.expect("ident", what="event id")]
         while self.at("punct", ","):
             self.advance()
-            ids.append(self.expect("ident", what="event id").text)
+            ids.append(self.expect("ident", what="event id"))
         return ids
 
     def trace_section(self) -> Trace:
         self.expect("ident", "trace")
-        name_tok = self.expect("ident", what="trace id")
-        self.spans.setdefault(name_tok.text, self.span(name_tok.pos))
+        name = self.declare("trace id")
         self.expect("punct", "=")
         self.expect("punct", "[")
         occurrences: list[tuple[str, int]] = []
         if not self.at("punct", "]"):
             while True:
-                ev = self.expect("ident", what="event id").text
+                ev = self.expect("ident", what="event id")
                 self.expect("punct", "@")
-                ts = int(self.expect("int", what="timestamp").text)
-                occurrences.append((ev, ts))
+                occurrences.append((ev, self.integer("timestamp")))
                 if self.at("punct", ","):
                     self.advance()
                     continue
                 break
         self.expect("punct", "]")
-        return Trace(name_tok.text, tuple(occurrences))
+        return Trace(name, tuple(occurrences))
 
 
 def parse(source: SourceFile) -> ParseResult:

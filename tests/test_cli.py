@@ -11,7 +11,7 @@ from tmkit.behavior import build_chronology, evaluate_trace
 from tmkit.cli import main
 from tmkit.syntax import parse_text
 
-from conftest import fixture_path
+from conftest import LONG_INTEGERS, fixture_path
 
 
 def run_cli(capsys, *argv):
@@ -161,6 +161,24 @@ def test_check_rejects_superscript_digits(tmp_path, capsys):
     status, out, err = run_cli(capsys, "check", str(bad))
     assert status == 1
     assert re.search(r"sup\.tm:3:\d+: error: .*unexpected character", err)
+
+
+@pytest.mark.parametrize("where", sorted(LONG_INTEGERS))
+def test_check_rejects_integers_too_long_to_convert(tmp_path, capsys, where):
+    text, diagnostic = LONG_INTEGERS[where]
+    big = tmp_path / "big.tm"
+    big.write_text(text)
+    status, out, err = run_cli(capsys, "check", str(big))
+    assert status == 1
+    assert f"{big}:{diagnostic}" in err.splitlines() and "Traceback" not in err
+
+
+def test_check_places_model_errors_at_their_declaration(tmp_path, capsys):
+    dup = tmp_path / "dup.tm"
+    dup.write_text('model m {\n  thimac a "A" { stages: create; }\n  thimac a "A" { stages: create; }\n}\n')
+    status, out, err = run_cli(capsys, "check", str(dup))
+    assert status == 1
+    assert f"{dup}:3:10: error: E-SYNTAX: duplicate thimac id 'a'" in err.splitlines()
 
 
 def test_check_rejects_deep_nesting(tmp_path, capsys):

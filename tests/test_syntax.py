@@ -9,7 +9,7 @@ from tmkit import diagnostics as dg
 from tmkit.cli import main
 from tmkit.syntax import MAX_NESTING, SourceFile, _Parser, parse, parse_text, print_document
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, LONG_INTEGERS, load
 from genutil import random_document
 from oracles import tokenize_by_chars
 from strategies import spliced_fixtures
@@ -123,6 +123,8 @@ def test_unterminated_string_reported():
     res = parse_text('model m { thimac a "A { stages: create; } }')
     assert res.document is None
     assert any("unterminated" in d.message for d in res.diagnostics)
+    res = parse_text('model m { thimac a "A\\"\n  { stages: create; } }')  # the last quote is escaped
+    assert any("unterminated" in d.message for d in res.diagnostics)
 
 
 def test_superscript_digits_are_a_syntax_error():
@@ -174,12 +176,56 @@ def test_end_of_file_is_named_in_grammar_errors(text, expected):
     assert [d.message for d in res.diagnostics] == [f"{expected}, found 'end of file'"]
 
 
+@pytest.mark.parametrize("where", sorted(LONG_INTEGERS))
+def test_integers_too_long_to_convert_are_syntax_errors(where):
+    text, diagnostic = LONG_INTEGERS[where]
+    res = parse_text(text, path="big.tm")  # must not raise
+    assert [str(d) for d in res.diagnostics] == [f"big.tm:{diagnostic}"]
+
+
+# text, the one diagnostic, and the id with the place of its first declaration
+MODEL_ERRORS = {
+    "duplicate thimac": (
+        'model m {\n  thimac a "A" { stages: create; }\n  thimac a "A" { stages: create; }\n}\n',
+        "3:10: error: E-SYNTAX: duplicate thimac id 'a'",
+        ("a", 2, 10),
+    ),
+    "duplicate flow": (
+        'model m {\n  thimac a "A" { stages: create, process; }\n  flow f: a.create -> a.process;\n'
+        "  flow f: a.create -> a.process;\n}\n",
+        "4:8: error: E-SYNTAX: duplicate arc id 'f'",
+        ("f", 3, 8),
+    ),
+    "unresolved stage": (
+        'model m {\n  thimac a "A" { stages: create; }\n  flow g: a.create -> b.process;\n}\n',
+        "3:8: error: E-SYNTAX: arc 'g' references unknown stage b.process",
+        ("g", 3, 8),
+    ),
+    # thimacs and arcs have separate ids: the duplicate is the nested thimac
+    "duplicate nested thimac after an arc of its id": (
+        'model m {\n  thimac a "A" { stages: create, process; }\n  flow a: a.create -> a.process;\n'
+        '  thimac b "B" { stages: create;\n    thimac a "C" { } }\n}\n',
+        "5:12: error: E-SYNTAX: duplicate thimac id 'a'",
+        ("a", 2, 10),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MODEL_ERRORS))
+def test_model_errors_are_placed_at_the_declaration_they_name(case):
+    text, diagnostic, (element, line, col) = MODEL_ERRORS[case]
+    p = _Parser(SourceFile("m.tm", text))
+    assert p.document() is None
+    assert [str(d) for d in p.diags] == [f"m.tm:{diagnostic}"]
+    assert (p.spans[element].line, p.spans[element].col) == (line, col)
+
+
 def lexed(text):
     """(tokens, diagnostics) of the parser's tokenizer and of the character
     loop, tokens as (kind, text, line, col) and diagnostics as printed."""
     p = _Parser(SourceFile("f.tm", text))
-    spans = [p.span(t.pos) for t in p.toks]
-    got = ([(t.kind, t.text, s.line, s.col) for t, s in zip(p.toks, spans)], [str(d) for d in p.diags])
+    spans = [p.span(start) for start in p.starts]
+    got = ([(k, t, s.line, s.col) for k, t, s in zip(p.kinds, p.texts, spans, strict=True)], [str(d) for d in p.diags])
     diags = []
     want = (tokenize_by_chars("f.tm", text, diags), [str(d) for d in diags])
     return got, want
@@ -213,3 +259,26 @@ def test_cli_check_exits_1_on_spliced_fixtures_that_do_not_parse(tmp_path_factor
         assert status == 1 and "parse failed" in err.getvalue()
     else:
         assert status in (0, 1)
+
+
+DECLARING = ("thimac", "flow", "trigger", "subdiagram", "event", "chronology", "trace")
+
+
+def first_declarations(text):
+    """(line, col) of the first declaration of each id, from the oracle's tokens."""
+    toks = tokenize_by_chars("f.tm", text, [])
+    first = {}
+    for (kind, word, _, _), (next_kind, name, line, col) in zip(toks, toks[1:]):
+        if kind == "ident" and word in DECLARING and next_kind == "ident":
+            first.setdefault(name, (line, col))
+    return first
+
+
+def test_declaration_spans_point_at_the_first_declaration_of_their_ids():
+    rng = random.Random(6)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
+    texts += [print_document(random_document(rng)) for _ in range(200)]
+    for text in texts:
+        doc = parse_text(text, path="f.tm").document
+        assert {s.file for s in doc.spans.values()} <= {"f.tm"}
+        assert {i: (s.line, s.col) for i, s in doc.spans.items()} == first_declarations(text), text
