@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Optional, TypeVar, Union
+from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
 from .events import Event
@@ -90,6 +90,15 @@ class Chronology:
     @cached_property
     def _windows(self) -> dict[str, tuple[int, int]]:
         return dict(self.windows)
+
+    @cached_property
+    def rivals(self) -> dict[str, frozenset[str]]:
+        """Each event's fellow members across all its exclusive groups."""
+        out: dict[str, frozenset[str]] = {}
+        for g in self.groups:
+            for m in g.members:
+                out[m] = out.get(m, frozenset()) | (g.members - {m})
+        return out
 
     @cached_property
     def closable(self) -> frozenset[str]:
@@ -331,21 +340,9 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
             if u in stamp and stamp[u] >= stamp[v]:
                 return Verdict(False, violation=OrderViolation(u, v))
 
-    occurred = set(stamp)
-    for g in chronology.groups:
-        if len(g.members & occurred) > 1:
-            return Verdict(False, violation=ExclusivityViolation(g))
-
-    if not occurred & chronology.starts:
-        return Verdict(False, violation=NotStarted())
-    for e, _ in trace.occurrences:
-        if e not in chronology.starts and not (chronology.predecessors(e) & occurred):
-            # a causal thread that begins mid-chronology never started
-            return Verdict(False, violation=NotStarted())
-
-    for e, _ in trace.occurrences:
-        if e not in chronology.ends and not (chronology.successors(e) & occurred):
-            return Verdict(False, violation=MissingSuccessor(e))
+    violation = _run_violation(chronology, set(stamp), stamp)
+    if violation is not None:
+        return Verdict(False, violation=violation)
 
     for e, ts in trace.occurrences:
         w = chronology.window_of(e)
@@ -357,30 +354,35 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
 
 # --- Run enumeration ---------------------------------------------------------
 
-# enumerate_runs gives up after this many search steps per unit of bound and
+# search_runs gives up after this many search steps per unit of bound and
 # per event; a search with no dead branches takes about one per run and event.
 _SEARCH_STEPS_PER_RUN_EVENT = 16
 
 
-def run_set_valid(chronology: Chronology, occurred: frozenset[str]) -> bool:
-    """Set-level run test, independent of any trace ordering.
-
-    A non-empty set is a run when: every member with no in-set predecessor is
-    a declared start; exclusive groups contribute at most one member; every
-    non-end member has an in-set successor.
+def _run_violation(chronology: Chronology, occurred: AbstractSet[str], order: Iterable[str]) -> Optional[Violation]:
+    """The first run rule the ``occurred`` set breaks, visiting its members in
+    ``order``: at most one member per exclusive group; each causal thread
+    begins at a declared start; each non-end member has an in-set successor.
     """
-    if not occurred:
-        return False
     for g in chronology.groups:
         if len(g.members & occurred) > 1:
-            return False
-    for e in occurred:
-        preds = chronology.predecessors(e) & occurred
-        if not preds and e not in chronology.starts:
-            return False
+            return ExclusivityViolation(g)
+    if not occurred & chronology.starts:
+        return NotStarted()
+    for e in order:
+        if e not in chronology.starts and not (chronology.predecessors(e) & occurred):
+            # a causal thread that begins mid-chronology never started
+            return NotStarted()
+    for e in order:
         if e not in chronology.ends and not (chronology.successors(e) & occurred):
-            return False
-    return True
+            return MissingSuccessor(e)
+    return None
+
+
+def run_set_valid(chronology: Chronology, occurred: frozenset[str]) -> bool:
+    """Set-level run test, independent of any trace ordering: a non-empty set
+    that breaks no run rule."""
+    return bool(occurred) and _run_violation(chronology, occurred, occurred) is None
 
 
 def canonical_order(chronology: Chronology, occurred: frozenset[str]) -> tuple[str, ...]:
@@ -389,8 +391,11 @@ def canonical_order(chronology: Chronology, occurred: frozenset[str]) -> tuple[s
     return tuple(order)
 
 
-def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[str, ...]]:
-    """All runs of the chronology, one canonical order per run set.
+def search_runs(
+    chronology: Chronology, bound: int, forced_in: AbstractSet[str] = frozenset(), forced_out: AbstractSet[str] = frozenset()
+) -> Iterator[frozenset[str]]:
+    """Each run set that holds every event of ``forced_in`` and none of
+    ``forced_out``, once, as the search reaches it.
 
     Depth-first over the events in topological order, deciding each one once
     (include or exclude), so every set is reached at most once. A branch is
@@ -405,23 +410,17 @@ def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[st
     run_set_valid, so the search can miss a run but never invent one; tests
     cross-check it against an exhaustive subset scan.
 
-    Raises BoundExceeded when the run count passes ``bound``, or when the
-    search takes more than _SEARCH_STEPS_PER_RUN_EVENT * bound * len(events)
-    steps, which caps the dead branches a chronology with few runs can cost.
+    Raises BoundExceeded when the search takes more than
+    _SEARCH_STEPS_PER_RUN_EVENT * bound * len(events) steps, which caps the
+    dead branches a chronology with few runs can cost.
     """
-    if bound < len(chronology.events):
-        raise ValueError(f"bound {bound} is smaller than the event count {len(chronology.events)}")
-
     order, _ = topological_order(sorted(chronology.events), chronology.edges, str)
     at = {e: i for i, e in enumerate(order)}
     preds = [[at[p] for p in chronology.predecessors(e)] for e in order]
+    rivals = [[at[r] for r in chronology.rivals.get(e, ())] for e in order]
     startable = [e in chronology.starts for e in order]
     endable = [e in chronology.ends for e in order]
     succs = [sorted(at[s] for s in chronology.successors(e) if s in chronology.closable) for e in order]
-    mates: list[set[int]] = [set() for _ in order]  # members of the same exclusive groups
-    for g in chronology.groups:
-        for a in g.members:
-            mates[at[a]].update(at[b] for b in g.members if b != a)
     # (p, p's other successors in succs) for each unfinished p whose last one this is
     last_chance: list[list[tuple[int, list[int]]]] = [[] for _ in order]
     for p, succ in enumerate(succs):
@@ -432,21 +431,23 @@ def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[st
 
     def free(j: int, i: int) -> bool:
         """Whether no rival of order[j] is among the included order[:i]."""
-        return not mates[j] or not any(taken[r] for r in mates[j] if r < i)
+        return not rivals[j] or not any(taken[r] for r in rivals[j] if r < i)
 
     def choices(i: int) -> list[tuple[int, bool]]:
         out = []
-        if not any(taken[p] and not any(taken[s] for s in others) for p, others in last_chance[i]):
+        if order[i] not in forced_in and not any(
+            taken[p] and not any(taken[s] for s in others) for p, others in last_chance[i]
+        ):
             out.append((i, False))
         if (
-            (startable[i] or any(taken[p] for p in preds[i]))
+            order[i] not in forced_out
+            and (startable[i] or any(taken[p] for p in preds[i]))
             and free(i, i)
             and (endable[i] or any(free(s, i) for s in succs[i]))
         ):
             out.append((i, True))
         return out
 
-    runs: list[tuple[str, ...]] = []
     max_steps = _SEARCH_STEPS_PER_RUN_EVENT * bound * len(order)
     steps = 0
     stack = choices(0) if order else []
@@ -464,8 +465,18 @@ def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[st
             continue
         occurred = frozenset(e for e, t in zip(order, taken) if t)
         if occurred and run_set_valid(chronology, occurred):
-            runs.append(canonical_order(chronology, occurred))
-            if len(runs) > bound:
-                raise BoundExceeded(f"chronology '{chronology.id}' has more than {bound} runs")
+            yield occurred
+
+
+def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[str, ...]]:
+    """All runs of the chronology, one canonical order per run set. Raises
+    BoundExceeded when the run count passes ``bound`` or search_runs its step cap."""
+    if bound < len(chronology.events):
+        raise ValueError(f"bound {bound} is smaller than the event count {len(chronology.events)}")
+    runs: list[tuple[str, ...]] = []
+    for occurred in search_runs(chronology, bound):
+        runs.append(canonical_order(chronology, occurred))
+        if len(runs) > bound:
+            raise BoundExceeded(f"chronology '{chronology.id}' has more than {bound} runs")
     runs.sort(key=lambda r: (len(r), r))
     return runs

@@ -52,6 +52,8 @@ def _load(path: str) -> Document:
 def _pick_chronology(doc: Document, wanted: Optional[str]) -> Chronology:
     decls = {c.id: c for c in doc.chronologies}
     if wanted is None:
+        if not decls:
+            raise _Fail(INVALID, "document declares no chronology")
         if len(decls) != 1:
             raise _Fail(USAGE, f"document has {len(decls)} chronologies; pass --chronology")
         wanted = next(iter(decls))

@@ -6,18 +6,23 @@ marks it ready to leave, transfer carries it across the machine boundary, and
 receive (or arrive + accept) makes it a member of the next machine. Firing an
 event applies its subdiagram's actions in flow order; triggers queue creations
 that happen once the event completes.
+
+The chronology decides which events may fire, by the evaluator's run rules:
+an event may fire when some run holds it and the fired events, with no
+unfired predecessor of any of them (behavior.search_runs finds one), and
+stopping is allowed once the fired events form a run.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .behavior import Chronology, ExclusiveGroup, Trace, run_set_valid, topological_order
+from .behavior import Chronology, ExclusiveGroup, Trace, run_set_valid, search_runs, topological_order
 from .errors import Deadlock, IllegalAction, NotEnabled, PolicyError
 from .events import Event, Subdiagram
-from .model import Arc, ArcKind, StageKind, StageRef, StaticModel, Thimac
+from .model import Arc, ArcKind, StageKind, StageRef, StaticModel
 
 MEMBER_STAGES = frozenset({StageKind.CREATE, StageKind.PROCESS, StageKind.RECEIVE, StageKind.ACCEPT})
 
@@ -56,12 +61,20 @@ class BranchPolicy:
 
 @dataclass(frozen=True)
 class Seeded(BranchPolicy):
+    """Draws uniformly from the enabled events, plus "stop" when the fired
+    events form a run."""
+
     seed: int
 
 
 @dataclass(frozen=True)
 class Scripted(BranchPolicy):
-    """Maps exclusive-group names to the member that should fire."""
+    """Maps exclusive-group names to the member that should fire.
+
+    Fires the first enabled event its choices allow (one in no group, or the
+    chosen member of its group). Stops when no such event is left and the
+    fired events form a run; raises PolicyError otherwise.
+    """
 
     choices: tuple[tuple[str, str], ...]
 
@@ -123,20 +136,6 @@ class SimContext:
         return frozenset(a.src for a in self.model.arcs if a.kind is ArcKind.FLOW and a.cross_machine)
 
     @cached_property
-    def roots(self) -> frozenset[str]:
-        chron = self.chronology
-        return frozenset(e for e in chron.events if not chron.predecessors(e))
-
-    @cached_property
-    def rivals(self) -> dict[str, frozenset[str]]:
-        """Each event's fellow members across all its exclusive groups."""
-        out: dict[str, frozenset[str]] = {}
-        for g in self.chronology.groups:
-            for m in g.members:
-                out[m] = out.get(m, frozenset()) | (g.members - {m})
-        return out
-
-    @cached_property
     def group_of(self) -> dict[str, ExclusiveGroup]:
         """The group a scripted choice for an event is looked up in: the
         last declared one that holds it."""
@@ -147,64 +146,45 @@ class SimContext:
 class SimState:
     ctx: SimContext = field(compare=False)
     step: int = 0
-    instances: tuple[ThingInstance, ...] = ()
-    spawned: frozenset[str] = frozenset()  # labels created so far, one instance each
+    instances: tuple[ThingInstance, ...] = ()  # sorted by id; an id is the label it was created for
     log: tuple[tuple[str, int], ...] = ()
-    pending_triggers: tuple[StageRef, ...] = ()
-    # Chronology bookkeeping, brought up to date once per firing. An event
-    # is settled once it has fired or is dead, i.e. can never fire: no run
-    # holds it, a rival in an exclusive group fired, or every one of its
-    # predecessors is dead.
+    # Chronology bookkeeping, brought up to date once per firing.
     fired: frozenset[str] = frozenset()
-    dead: frozenset[str] = frozenset()
-    ready: frozenset[str] = frozenset()  # unsettled events whose predecessors have all settled
+    out: frozenset[str] = frozenset()  # unfired events a firing ruled out: predecessors and rivals of fired ones
+    frontier: frozenset[str] = frozenset()  # unfired events not ruled out that are starts or follow a fired one
+    witness: Optional[frozenset[str]] = None  # a run holding the fired events and no ruled-out one, if any
     unfinished: frozenset[str] = frozenset()  # fired non-end events with no fired successor
-
-    def at(self, ref: StageRef) -> list[ThingInstance]:
-        return sorted((i for i in self.instances if i.location == ref), key=lambda i: i.id)
-
-    def in_machine(self, thimac_id: str) -> list[ThingInstance]:
-        return sorted(
-            (
-                i
-                for i in self.instances
-                if isinstance(i.location, StageRef)
-                and i.location.thimac == thimac_id
-                and i.location.kind in MEMBER_STAGES
-            ),
-            key=lambda i: i.id,
-        )
 
 
 def initial_state(model: StaticModel, subdiagrams: Sequence[Subdiagram], events: Sequence[Event], chronology: Chronology) -> SimState:
     ctx = SimContext(model, tuple(subdiagrams), tuple(events), chronology)
-    # no run holds a root that is not a start, or an event with no path to an end
-    doomed = (ctx.roots - chronology.starts) | (chronology.events - chronology.closable)
-    return _settle(SimState(ctx=ctx, ready=ctx.roots), (), doomed)
+    witness = next(search_runs(chronology, len(chronology.events)), None)
+    return SimState(ctx=ctx, frontier=chronology.starts, witness=witness)
 
 
-def _put(state: SimState, inst: ThingInstance) -> SimState:
-    rest = tuple(i for i in state.instances if i.id != inst.id)
-    return replace(state, instances=tuple(sorted(rest + (inst,), key=lambda i: i.id)))
+# ---------------------------------------------------------------------------
+# Thing instances, in a mutable copy that one firing works on
 
 
-def _labels_of(t: Thimac) -> tuple[str, ...]:
-    return t.things if t.things else (t.id,)
+def _at(things: dict[str, ThingInstance], ref: StageRef) -> list[ThingInstance]:
+    return sorted((i for i in things.values() if i.location == ref), key=lambda i: i.id)
 
 
-def _spawn(state: SimState, thimac_id: str) -> SimState:
-    t = state.ctx.model.thimac(thimac_id)
+def _in_machine(things: dict[str, ThingInstance], thimac_id: str) -> list[ThingInstance]:
+    members = (i for i in things.values() if isinstance(i.location, StageRef) and i.location.kind in MEMBER_STAGES)
+    return sorted((i for i in members if i.location.thimac == thimac_id), key=lambda i: i.id)
+
+
+def _spawn(model: StaticModel, things: dict[str, ThingInstance], thimac_id: str) -> None:
+    t = model.thimac(thimac_id)
     if t is None:
         raise IllegalAction(StageRef(thimac_id, StageKind.CREATE), "unknown machine")
-    for label in _labels_of(t):
-        if label in state.spawned:
-            continue  # one instance per created label per run
-        inst = ThingInstance(id=label, label=label, location=StageRef(thimac_id, StageKind.CREATE))
-        state = replace(_put(state, inst), spawned=state.spawned | {label})
-    return state
+    for label in t.things or (t.id,):
+        if label not in things:  # one instance per created label per run
+            things[label] = ThingInstance(id=label, label=label, location=StageRef(thimac_id, StageKind.CREATE))
 
 
-def _act(state: SimState, inst: ThingInstance, target: StageRef) -> SimState:
+def _act(ctx: SimContext, things: dict[str, ThingInstance], inst: ThingInstance, target: StageRef) -> None:
     """Apply the generic action at ``target`` to one instance standing at a stage.
 
     A released thing can only transfer out. A thing its own machine moves to
@@ -215,59 +195,48 @@ def _act(state: SimState, inst: ThingInstance, target: StageRef) -> SimState:
     if loc.kind is StageKind.RELEASE and kind is not StageKind.TRANSFER:
         raise IllegalAction(target, f"'{inst.id}' is released; it can only transfer out")
     if kind is StageKind.PROCESS:
-        return _put(state, replace(inst, location=target, tags=inst.tags + (f"processed@{target.thimac}",)))
-    if kind is StageKind.CREATE:
-        return _spawn(_put(state, replace(inst, location=RETIRED)), target.thimac)
-    if kind is StageKind.TRANSFER and loc.thimac == target.thimac and target not in state.ctx.handoff_ports:
-        return _put(state, replace(inst, location=RETIRED))
-    return _put(state, replace(inst, location=target))
+        things[inst.id] = replace(inst, location=target, tags=inst.tags + (f"processed@{target.thimac}",))
+    elif kind is StageKind.CREATE:
+        things[inst.id] = replace(inst, location=RETIRED)
+        _spawn(ctx.model, things, target.thimac)
+    elif kind is StageKind.TRANSFER and loc.thimac == target.thimac and target not in ctx.handoff_ports:
+        things[inst.id] = replace(inst, location=RETIRED)
+    else:
+        things[inst.id] = replace(inst, location=target)
 
 
 # ---------------------------------------------------------------------------
 # Event firing
 
 
-def _settle(state: SimState, fired_now: Iterable[str], doomed: Iterable[str]) -> SimState:
-    """Kill the unsettled ``doomed`` events and, in turn, every event whose
-    predecessors are all dead; then admit to the ready set the successors of
-    the events just settled (``fired_now``, already in ``state.fired``, and
-    the new dead) whose predecessors have all settled."""
-    chron = state.ctx.chronology
-    fired, dead, settled_now = state.fired, state.dead, list(fired_now)
-    stack = [e for e in doomed if e not in fired and e not in dead]
-    if stack:
-        dead = set(dead)
-        while stack:
-            e = stack.pop()
-            if e in dead:
-                continue
-            dead.add(e)
-            settled_now.append(e)
-            stack.extend(s for s in chron.successors(e) if s not in fired and chron.predecessors(s) <= dead)
-        dead = frozenset(dead)
-
-    def settled(e: str) -> bool:
-        return e in fired or e in dead
-
-    ready = {e for e in state.ready if not settled(e)}
-    ready.update(
-        s
-        for e in settled_now
-        for s in chron.successors(e)
-        if not settled(s) and all(settled(p) for p in chron.predecessors(s))
-    )
-    return replace(state, dead=dead, ready=frozenset(ready))
-
-
-def _enabled(state: SimState, event_id: str) -> bool:
-    """Whether the event is ready and its admissible window has not closed."""
+def _open(state: SimState, event_id: str) -> bool:
+    """Whether the event's admissible window has not closed."""
     w = state.ctx.chronology.window_of(event_id)
-    return event_id in state.ready and (w is None or max(state.step, w[0]) <= w[1])
+    return w is None or max(state.step, w[0]) <= w[1]
+
+
+def _ruled_out(state: SimState, event_id: str) -> frozenset[str]:
+    """The ruled-out events once the event fires: its unfired predecessors
+    can no longer precede it, and its rivals can no longer share a run."""
+    chron = state.ctx.chronology
+    return state.out | (chron.predecessors(event_id) - state.fired) | chron.rivals.get(event_id, frozenset())
+
+
+def _witness_after(state: SimState, event_id: str) -> Optional[frozenset[str]]:
+    """A run that holds the fired events and the event and none of the
+    events its firing rules out, or None when there is no such run."""
+    chron, witness = state.ctx.chronology, state.witness
+    if witness is not None and event_id in witness and chron.predecessors(event_id) & witness <= state.fired:
+        return witness  # the move stays inside the witness
+    runs = search_runs(chron, len(chron.events), state.fired | {event_id}, _ruled_out(state, event_id))
+    return next(runs, None)
 
 
 def enabled_events(state: SimState) -> list[str]:
-    """Events whose chronology predecessors have fired or can never fire."""
-    return sorted(e for e in state.ready if _enabled(state, e))
+    """Events that may fire next: each unfired event whose window is open and
+    that some run holds together with the fired events, with no unfired
+    predecessor of any of them."""
+    return sorted(e for e in state.frontier if _open(state, e) and _witness_after(state, e) is not None)
 
 
 def fire_event(state: SimState, event_id: str) -> SimState:
@@ -276,21 +245,24 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     Every process stage of the subdiagram must transform something, either a
     thing carried in by the event's own flows or one already present in the
     machine; otherwise the event's story is inconsistent with the model state
-    and IllegalAction names the starved stage.
+    and IllegalAction names the starved stage. Creations the event triggers
+    happen once its actions are done.
     """
     ctx = state.ctx
-    if not _enabled(state, event_id):
+    witness = _witness_after(state, event_id) if event_id in state.frontier and _open(state, event_id) else None
+    if witness is None:
         raise NotEnabled(f"event '{event_id}' is not enabled")
     plan = ctx.plans[ctx.event_by_id[event_id].subdiagram]
+    things = {i.id: i for i in state.instances}
 
     for ref in plan.creates:
-        state = _spawn(state, ref.thimac)
+        _spawn(ctx.model, things, ref.thimac)
 
     visited: set[StageRef] = set()
     moved_from: set[StageRef] = set()
     for arc in plan.flows:
-        for inst in state.at(arc.src):
-            state = _act(state, inst, arc.dst)
+        for inst in _at(things, arc.src):
+            _act(ctx, things, inst, arc.dst)
             visited.add(arc.dst)
             moved_from.add(arc.src)
 
@@ -305,54 +277,68 @@ def fire_event(state: SimState, event_id: str) -> SimState:
             continue
         if ref in moved_from:
             continue
-        present = state.in_machine(ref.thimac)
+        present = _in_machine(things, ref.thimac)
         if not present:
             raise IllegalAction(ref, f"event '{event_id}' has nothing to process")
         for inst in present:
-            state = _act(state, inst, ref)
+            _act(ctx, things, inst, ref)
 
-    state = replace(state, pending_triggers=state.pending_triggers + plan.triggers)
+    for ref in plan.triggers:
+        if ref.kind is StageKind.CREATE:
+            _spawn(ctx.model, things, ref.thimac)
 
     chron = ctx.chronology
     window = chron.window_of(event_id)
     step = state.step if window is None else max(state.step, window[0])
-    state = replace(
+    fired, out = state.fired | {event_id}, _ruled_out(state, event_id)
+    return replace(
         state,
+        instances=tuple(sorted(things.values(), key=lambda i: i.id)),
         log=state.log + ((event_id, step),),
         step=step + 1,
-        fired=state.fired | {event_id},
+        fired=fired,
+        out=out,
+        frontier=(state.frontier | chron.successors(event_id)) - fired - out,
+        witness=witness,
         unfinished=(state.unfinished - chron.predecessors(event_id)) | ({event_id} - chron.ends),
     )
-    state = _settle(state, (event_id,), ctx.rivals.get(event_id, ()))
-
-    # triggers fire once the event has completed
-    for ref in state.pending_triggers:
-        if ref.kind is StageKind.CREATE:
-            state = _spawn(state, ref.thimac)
-    return replace(state, pending_triggers=())
 
 
 # ---------------------------------------------------------------------------
 # Whole-run simulation
 
 
-def _choose(enabled: list[str], ctx: SimContext, policy: BranchPolicy, rng: Optional[random.Random]) -> str:
+def _choose(
+    enabled: list[str], done: bool, ctx: SimContext, policy: BranchPolicy, rng: Optional[random.Random]
+) -> Optional[str]:
+    """The event the policy fires next, or None when it stops; ``done`` says
+    whether the fired events form a run, which stopping needs."""
     if isinstance(policy, Seeded):
         assert rng is not None
-        return rng.choice(enabled)
+        return rng.choice(enabled + [None] if done else enabled)
     assert isinstance(policy, Scripted)
     group_of = ctx.group_of
-    choosable = []
-    for e in enabled:
-        g = group_of.get(e)
-        if g is None or policy.chosen(g.name) == e:
-            choosable.append(e)
+    choosable = [e for e in enabled if (g := group_of.get(e)) is None or policy.chosen(g.name) == e]
     if choosable:
         return choosable[0]
+    if done:
+        return None
     uncovered = sorted({group_of[e].name for e in enabled if policy.chosen(group_of[e].name) is None})
     if uncovered:
         raise PolicyError(f"no scripted choice for exclusive group(s): {', '.join(uncovered)}")
     raise PolicyError("the scripted choices rule out every enabled event")
+
+
+def _deadlock(state: SimState) -> Deadlock:
+    """Why no event can fire although the fired events are not yet a run:
+    the chronology has no run, or windows closed on the moves that remain."""
+    chron = state.ctx.chronology
+    where = f"no event can fire after [{', '.join(e for e, _ in state.log)}] at step {state.step}"
+    if state.witness is None:
+        return Deadlock(f"{where}: chronology '{chron.id}' has no run")
+    closed = [e for e in sorted(state.frontier) if not _open(state, e) and _witness_after(state, e) is not None]
+    windows = (f"the window {w[0]}..{w[1]} of {e} has closed" for e in closed for w in [chron.window_of(e)])
+    return Deadlock(f"{where}: {'; '.join(windows)}")
 
 
 def simulate(
@@ -365,20 +351,21 @@ def simulate(
 ) -> Trace:
     """Run one complete scenario and return its trace.
 
-    The result always satisfies evaluate_trace; with a Seeded policy it is a
-    deterministic function of the seed. Raises Deadlock when no event is
-    enabled before a run is complete (a chronology/model mismatch).
+    At each step the policy fires an enabled event or, once the fired events
+    form a run, may stop. The result always satisfies evaluate_trace; with a
+    Seeded policy it is a deterministic function of the seed. Raises Deadlock
+    when nothing can fire before a run is complete, which only closed windows
+    (or a chronology without runs) cause.
     """
     state = initial_state(model, subdiagrams, events, chronology)
     rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
-
-    # a run leaves no fired event unfinished, so only then is the set checked
-    while state.unfinished or not run_set_valid(chronology, state.fired):
+    while True:
         enabled = enabled_events(state)
-        if not enabled:
-            raise Deadlock(
-                f"no event is enabled after [{', '.join(e for e, _ in state.log)}]; no complete run is reachable"
-            )
-        state = fire_event(state, _choose(enabled, state.ctx, policy, rng))
-
-    return Trace(trace_id, state.log)
+        # a run leaves no fired event unfinished, so only then is the set checked
+        done = not state.unfinished and run_set_valid(chronology, state.fired)
+        if not enabled and not done:
+            raise _deadlock(state)
+        event_id = _choose(enabled, done, state.ctx, policy, rng)
+        if event_id is None:
+            return Trace(trace_id, state.log)
+        state = fire_event(state, event_id)

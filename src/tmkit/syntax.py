@@ -69,9 +69,6 @@ class Document:
     traces: tuple[Trace, ...] = ()
     spans: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def span_of(self, element_id: str) -> dg.Span:
-        return self.spans.get(element_id, dg.Span())
-
 
 @dataclass(frozen=True)
 class ParseResult:
@@ -244,6 +241,7 @@ class _Parser:
         traces: list[Trace] = []
         section_rank = {"model": 0, "subdiagram": 1, "event": 2, "chronology": 3, "trace": 4}
         reached = -1
+        named: dict[str, list[int]] = {"subdiagram": [], "event": [], "chronology": [], "trace": []}  # id tokens
 
         while not self.at("eof"):
             at, word = self.pos, self.texts[self.pos]
@@ -275,6 +273,8 @@ class _Parser:
                     chronologies.append(self.chronology_section(len(chronologies)))
                 else:
                     traces.append(self.trace_section())
+                if word != "model":
+                    named[word].append(at + 1)
             except _SyntaxError as e:
                 self.report(e.message, e.at)
                 self.sync_to_section()
@@ -284,10 +284,8 @@ class _Parser:
                 self.report("a document needs a model section", self.pos)
             return None
 
-        self._check_unique("subdiagram", [s.id for s in subdiagrams])
-        self._check_unique("event", [e.id for e in events])
-        self._check_unique("chronology", [c.id for c in chronologies])
-        self._check_unique("trace", [t.id for t in traces])
+        for what, ids in named.items():
+            self._check_unique(what, ids)
         for trace in traces:
             problem = check_trace_shape(trace)
             if problem is not None:
@@ -304,14 +302,14 @@ class _Parser:
             spans=self.spans,
         )
 
-    def _check_unique(self, what: str, ids: list[str]) -> None:
+    def _check_unique(self, what: str, ids: list[int]) -> None:
+        """Report each id token whose id an earlier one of the same section kind declared."""
         seen: set[str] = set()
         for i in ids:
-            if i in seen:
-                self.diags.append(
-                    dg.error(dg.SYNTAX, f"duplicate {what} id '{i}'", (i,), self.spans.get(i, dg.Span()))
-                )
-            seen.add(i)
+            name = self.texts[i]
+            if name in seen:
+                self.diags.append(dg.error(dg.SYNTAX, f"duplicate {what} id '{name}'", (name,), self.span(self.starts[i])))
+            seen.add(name)
 
     def model_section(self) -> Optional[StaticModel]:
         self.expect("ident", "model")

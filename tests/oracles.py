@@ -36,54 +36,28 @@ def enumerate_runs_by_subsets(chronology: Chronology, bound: int = 10_000) -> li
     return runs
 
 
-def enabled_events_by_fixpoint(state) -> list[str]:
-    """The events a simulation state may fire next, recomputed from its log.
+def enabled_events_by_runs(state, runs: list[frozenset[str]]) -> list[str]:
+    """The events a simulation state may fire next, recomputed from its log
+    and the run sets of its chronology (from enumerate_runs_by_subsets).
 
-    An unfired event is dead when a rival in one of its exclusive groups has
-    fired, when it is a root but not a start, when no path of successors
-    leads from it to an end, or when all of its predecessors are dead. An
-    event is enabled when it is neither fired nor dead, each predecessor has
-    fired or is dead, and its window has not closed. Deliberately independent
-    of the simulator's incremental bookkeeping, which tests check against it.
+    An unfired event whose window has not closed is enabled when no edge
+    leads from it to a fired event, and some run holds the fired events and
+    the event with no edge from an event of that run outside them to one of
+    them. Deliberately independent of the simulator's bookkeeping and run
+    search, which tests check against it.
     """
     chron = state.ctx.chronology
     fired = frozenset(e for e, _ in state.log)
-
-    closable = set(chron.ends)
-    changed = True
-    while changed:
-        changed = False
-        for e in chron.events:
-            if e not in closable and chron.successors(e) & closable:
-                closable.add(e)
-                changed = True
-
-    def doomed(e: str) -> bool:
-        excluded = any(e in g.members and (g.members & fired) - {e} for g in chron.groups)
-        return excluded or (not chron.predecessors(e) and e not in chron.starts) or e not in closable
-
-    dead: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for e in chron.events:
-            if e in fired or e in dead:
-                continue
-            preds = chron.predecessors(e)
-            if doomed(e) or (preds and all(p in dead for p in preds)):
-                dead.add(e)
-                changed = True
-
     out = []
     for e in sorted(chron.events - fired):
-        if e in dead:
-            continue
-        if any(p not in fired and p not in dead for p in chron.predecessors(e)):
-            continue
         w = chron.window_of(e)
         if w is not None and max(state.step, w[0]) > w[1]:
             continue  # the admissible window has closed
-        out.append(e)
+        done = fired | {e}
+        if chron.successors(e) & fired:
+            continue  # it would fire after its successor
+        if any(done <= r and not any(v in done and u in r - done for u, v in chron.edges) for r in runs):
+            out.append(e)
     return out
 
 

@@ -181,6 +181,17 @@ def test_check_places_model_errors_at_their_declaration(tmp_path, capsys):
     assert f"{dup}:3:10: error: E-SYNTAX: duplicate thimac id 'a'" in err.splitlines()
 
 
+def test_check_places_a_duplicate_event_at_its_second_declaration(tmp_path, capsys):
+    dup = tmp_path / "dup.tm"
+    dup.write_text(
+        'model m { thimac a "A" { stages: create; } }\nsubdiagram s "S" { stages: a.create; }\n'
+        "event E = s\nevent F = s\nevent E = s\n"
+    )
+    status, out, err = run_cli(capsys, "check", str(dup))
+    assert status == 1
+    assert f"{dup}:5:7: error: E-SYNTAX: duplicate event id 'E' [E]" in err.splitlines()
+
+
 def test_check_rejects_deep_nesting(tmp_path, capsys):
     deep = tmp_path / "deep.tm"
     deep.write_text("model m {\n" + "".join(f'thimac t{i} "T" {{\n' for i in range(1500)) + "}\n" * 1500 + "}\n")
@@ -189,12 +200,39 @@ def test_check_rejects_deep_nesting(tmp_path, capsys):
     assert "nest more than" in err
 
 
+@pytest.mark.parametrize("command", ["runs", "simulate"])
+def test_a_document_without_chronologies_is_invalid_input(capsys, command):
+    status, out, err = run_cli(capsys, command, fixture_path("empty.tm"))
+    assert status == 1
+    assert err == "tmkit: document declares no chronology\n"
+
+
 def test_simulate_rejects_an_unknown_subdiagram(tmp_path, capsys):
     bad = tmp_path / "ghost.tm"
     bad.write_text('model m { thimac a "A" { stages: create; } }\nevent E1 = ghost\nchronology c { events: E1; }\n')
     status, out, err = run_cli(capsys, "simulate", str(bad))
     assert status == 1
     assert "E-EVENT-UNRESOLVED" in err
+
+
+def simulated_seeds(tmp_path, capsys, chronology):
+    """The event sequences `tmkit simulate` prints for seeds 0-9 on a model
+    that never starves; each must exit 0 and evaluate TRUE."""
+    text = (
+        'model m { thimac a "A" { stages: create; things: "x"; } }\n'
+        'subdiagram s "S" { stages: a.create; }\n'
+        "event A = s\nevent B = s\nevent C = s\nevent D = s\nevent E = s\n" + chronology
+    )
+    path = tmp_path / "sim.tm"
+    path.write_text(text)
+    seen = set()
+    for seed in range(10):
+        status, out, err = run_cli(capsys, "simulate", str(path), "--seed", str(seed))
+        assert status == 0, (seed, err)
+        doc = parse_text(text + out).document
+        assert evaluate_trace(build_chronology(doc.events, doc.chronologies[0]), doc.traces[-1]).truth, seed
+        seen.add(doc.traces[-1].events())
+    return seen
 
 
 NO_RUN_HOLDS = {
@@ -207,18 +245,19 @@ NO_RUN_HOLDS = {
 
 @pytest.mark.parametrize("name", sorted(NO_RUN_HOLDS))
 def test_simulate_skips_events_no_run_holds(tmp_path, capsys, name):
-    text = (
-        'model m { thimac a "A" { stages: create; things: "x"; } }\n'
-        'subdiagram s "S" { stages: a.create; }\n'
-        "event A = s\nevent B = s\nevent C = s\n" + NO_RUN_HOLDS[name]
-    )
-    path = tmp_path / f"{name}.tm"
-    path.write_text(text)
-    for seed in range(10):
-        status, out, err = run_cli(capsys, "simulate", str(path), "--seed", str(seed))
-        assert status == 0, (seed, err)
-        doc = parse_text(text + out).document
-        assert evaluate_trace(build_chronology(doc.events, doc.chronologies[0]), doc.traces[-1]).truth, seed
+    assert simulated_seeds(tmp_path, capsys, NO_RUN_HOLDS[name]) == {("A", "B")}
+
+
+def test_simulate_never_fires_both_sides_of_a_choice(tmp_path, capsys):
+    # B and D are alternatives, so firing A and then D leaves no run to complete
+    chronology = "chronology c {\n  A -> B;\n  D -> E;\n  exclusive g { B | D };\n}\n"
+    assert simulated_seeds(tmp_path, capsys, chronology) == {("A", "B"), ("D", "E")}
+
+
+def test_simulate_completes_a_join_from_either_side_or_both(tmp_path, capsys):
+    seen = simulated_seeds(tmp_path, capsys, "chronology c {\n  A -> C;\n  B -> C;\n  start: A, B;\n  end: C;\n}\n")
+    assert {("A", "C"), ("B", "C")} <= seen
+    assert seen & {("A", "B", "C"), ("B", "A", "C")}
 
 
 def test_python_dash_m_tmkit_runs_the_cli():

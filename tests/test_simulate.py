@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.behavior import ChronologyDecl, build_chronology, evaluate_trace
+from tmkit.behavior import ChronologyDecl, ExclusiveGroup, build_chronology, enumerate_runs, evaluate_trace, run_set_valid
 from tmkit.errors import Deadlock, IllegalAction, NotEnabled, PolicyError, TmkitError
 from tmkit.events import Event, Subdiagram
 from tmkit.model import ArcDecl, ArcKind, StageKind, StageRef, ThimacDecl, build_model
@@ -22,7 +22,7 @@ from tmkit.simulate import (
 
 from conftest import load
 from genutil import random_chronology, random_document
-from oracles import enabled_events_by_fixpoint
+from oracles import enabled_events_by_runs, enumerate_runs_by_subsets
 from strategies import declared_chronologies
 
 C, P, R, T, V = StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE, StageKind.TRANSFER, StageKind.RECEIVE
@@ -190,7 +190,6 @@ def test_triggered_creation_happens_after_the_event(airport, airport_chronology)
     assert instance(state, "ticket_counter") is None
     state = fire_event(state, "E5")
     assert instance(state, "ticket_counter").location == StageRef("ticket_c", C)
-    assert state.pending_triggers == ()
 
 
 def test_passenger_retires_on_boarding(airport, airport_chronology):
@@ -278,8 +277,48 @@ def test_closed_window_deadlocks():
     subs = [Subdiagram("s", "S", (StageRef("a", C),))]
     events = [Event("E1", "s", window=(5, 5)), Event("E2", "s", window=(0, 1))]
     chron = build_chronology(events, ChronologyDecl("c", edges=(("E1", "E2"),)))
-    with pytest.raises(Deadlock):
+    with pytest.raises(Deadlock) as err:
         simulate(model, subs, events, chron, Seeded(0))
+    assert str(err.value) == "no event can fire after [E1] at step 6: the window 0..1 of E2 has closed"
+
+
+def test_a_chronology_without_runs_deadlocks_at_once():
+    model, subs = any_event_fires()
+    events = [Event("A", "s"), Event("B", "s")]
+    chron = build_chronology(events, ChronologyDecl("c", ("A", "B"), starts=("A",), ends=("B",)))
+    with pytest.raises(Deadlock) as err:
+        simulate(model, subs, events, chron, Seeded(0))
+    assert str(err.value) == "no event can fire after [] at step 0: chronology 'c' has no run"
+
+
+def test_scripted_stops_once_its_choices_allow_nothing_and_a_run_is_complete():
+    # the runs are [A], [A, B] and [A, D]; B and D are alternatives
+    model, subs = any_event_fires()
+    events = [Event(e, "s") for e in ("A", "B", "D")]
+    group = ExclusiveGroup("g", frozenset({"B", "D"}))
+    decl = ChronologyDecl("c", ("A", "B", "D"), (("A", "B"), ("A", "D")), (group,), ("A",), ("A", "B", "D"))
+    chron = build_chronology(events, decl)
+    assert simulate(model, subs, events, chron, Scripted(())).events() == ("A",)
+    assert simulate(model, subs, events, chron, Scripted((("g", "B"),))).events() == ("A", "B")
+    assert simulate(model, subs, events, chron, Scripted((("g", "D"),))).events() == ("A", "D")
+
+
+def test_an_empty_window_never_opens():
+    model, subs = any_event_fires()
+    events = [Event("E1", "s", window=(5, 3))]
+    chron = build_chronology(events, ChronologyDecl("c", ("E1",)))
+    with pytest.raises(Deadlock) as err:
+        simulate(model, subs, events, chron, Seeded(0))
+    assert str(err.value) == "no event can fire after [] at step 0: the window 5..3 of E1 has closed"
+
+
+def test_seeded_may_stop_at_a_run_that_a_longer_run_extends():
+    # the runs are [A] and [A, B]
+    model, subs = any_event_fires()
+    events = [Event("A", "s"), Event("B", "s")]
+    chron = build_chronology(events, ChronologyDecl("c", ("A", "B"), (("A", "B"),), ends=("A", "B")))
+    traces = {simulate(model, subs, events, chron, Seeded(seed)).events() for seed in range(10)}
+    assert traces == {("A",), ("A", "B")}
 
 
 def test_window_fast_forwards_the_clock():
@@ -309,22 +348,34 @@ def any_event_fires():
 
 
 def walk_against_the_oracle(chron, rng):
-    """Fire random enabled events until none is left, checking the ready and
-    unfinished sets against their from-scratch definitions at every state."""
+    """Fire random enabled events until none is left, checking the enabled
+    and unfinished sets against their from-scratch definitions at every state."""
     model, subs = any_event_fires()
     state = initial_state(model, subs, [Event(e, "s") for e in chron.events], chron)
+    runs = [frozenset(r) for r in enumerate_runs_by_subsets(chron)]
     while True:
         enabled = enabled_events(state)
-        assert enabled == enabled_events_by_fixpoint(state), state.log
+        assert enabled == enabled_events_by_runs(state, runs), state.log
         assert state.unfinished == {
             e for e in state.fired if e not in chron.ends and not chron.successors(e) & state.fired
+        }
+        assert state.out == {
+            e
+            for f in state.fired
+            for e in chron.predecessors(f) | chron.rivals.get(f, frozenset())
+            if e not in state.fired
+        }
+        assert state.frontier == {
+            e
+            for e in chron.events - state.fired - state.out
+            if e in chron.starts or chron.predecessors(e) & state.fired
         }
         if not enabled:
             return
         state = fire_event(state, rng.choice(enabled))
 
 
-def test_enabled_events_match_the_fixpoint_oracle():
+def test_enabled_events_match_the_run_oracle():
     rng = random.Random(29)
     for _ in range(200):
         events, decl = random_chronology(rng, rng.randint(1, 12))
@@ -342,7 +393,7 @@ def test_enabled_events_match_the_fixpoint_oracle():
 
 @given(declared_chronologies(), st.data())
 @settings(max_examples=200, deadline=None)
-def test_enabled_events_match_the_fixpoint_oracle_on_declared_starts_and_ends(chron, data):
+def test_enabled_events_match_the_run_oracle_on_declared_starts_and_ends(chron, data):
     window = st.tuples(st.integers(0, 8), st.integers(0, 6)).map(lambda w: (w[0], w[0] + w[1]))
     windows = data.draw(st.dictionaries(st.sampled_from(sorted(chron.events)), window))
     rng = random.Random(data.draw(st.integers(0, 99)))
@@ -361,3 +412,30 @@ def test_a_long_chain_checks_its_run_once(monkeypatch):
     assert len(calls) <= 2
     assert trace.events() == tuple(ids)
     assert evaluate_trace(chron, trace).truth
+
+
+def test_every_move_sequence_reaches_exactly_the_runs():
+    """Without windows, on a model that never starves, every sequence of
+    moves can go on until the fired events form a run, and the runs so
+    reached are the chronology's runs. States whose chronology bookkeeping
+    agrees have the same moves, so each is expanded once."""
+    model, subs = any_event_fires()
+    rng = random.Random(41)
+    for draw in range(220):
+        events, decl = random_chronology(rng, rng.randint(1, 10))
+        chron = build_chronology(events, decl)
+        reached, seen = set(), set()
+        stack = [initial_state(model, subs, events, chron)]
+        while stack:
+            state = stack.pop()
+            key = (state.fired, state.out, state.frontier, state.witness, state.unfinished)
+            if key in seen:
+                continue
+            seen.add(key)
+            enabled = enabled_events(state)
+            if run_set_valid(chron, state.fired):
+                reached.add(state.fired)
+            else:
+                assert enabled, (draw, state.log)  # a deadlock
+            stack.extend(fire_event(state, e) for e in enabled)
+        assert reached == {frozenset(r) for r in enumerate_runs(chron)}, draw

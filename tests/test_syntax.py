@@ -183,6 +183,36 @@ def test_integers_too_long_to_convert_are_syntax_errors(where):
     assert [str(d) for d in res.diagnostics] == [f"big.tm:{diagnostic}"]
 
 
+_SECTIONS = 'model m { thimac a "A" { stages: create; } }\nsubdiagram s "S" { stages: a.create; }\n'
+DUPLICATE_SECTION_IDS = {
+    "subdiagram": (
+        _SECTIONS + 'subdiagram s "T" { stages: a.create; }\n',
+        ["3:12: error: E-SYNTAX: duplicate subdiagram id 's' [s]"],
+    ),
+    "subdiagram after a broken one": (
+        _SECTIONS + 'subdiagram s "T" { junk; }\nsubdiagram s "U" { }\n',
+        ["3:20: error: E-SYNTAX: expected stages or arcs, found 'junk'", "4:12: error: E-SYNTAX: duplicate subdiagram id 's' [s]"],
+    ),
+    "event": (_SECTIONS + "event E = s\nevent E = s\n", ["4:7: error: E-SYNTAX: duplicate event id 'E' [E]"]),
+    "chronology": (
+        _SECTIONS + "event E = s\nchronology c { events: E; }\nchronology c { events: E; }\n",
+        ["5:12: error: E-SYNTAX: duplicate chronology id 'c' [c]"],
+    ),
+    "trace": (
+        _SECTIONS + "event E = s\ntrace t = [ E @ 0 ]\ntrace t = [ E @ 1 ]\n",
+        ["5:7: error: E-SYNTAX: duplicate trace id 't' [t]"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUPLICATE_SECTION_IDS))
+def test_duplicate_section_ids_are_placed_at_the_duplicate(case):
+    text, diagnostics = DUPLICATE_SECTION_IDS[case]
+    res = parse_text(text, path="dup.tm")
+    assert res.document is None
+    assert [str(d) for d in res.diagnostics] == [f"dup.tm:{d}" for d in diagnostics]
+
+
 # text, the one diagnostic, and the id with the place of its first declaration
 MODEL_ERRORS = {
     "duplicate thimac": (
