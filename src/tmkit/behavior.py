@@ -100,14 +100,13 @@ class Chronology:
                 out[m] = out.get(m, frozenset()) | (g.members - {m})
         return out
 
-    @cached_property
-    def closable(self) -> frozenset[str]:
-        """Events with a path of successors to an end; no run holds any other."""
-        reach = set(self.ends)
+    def closable(self, without: AbstractSet[str] = frozenset()) -> frozenset[str]:
+        """Events with a path of successors to an end that avoids ``without``; no run avoiding it holds any other."""
+        reach = set(self.ends - without)
         stack = list(reach)
         while stack:
             for p in self.predecessors(stack.pop()):
-                if p not in reach:
+                if p not in reach and p not in without:
                     reach.add(p)
                     stack.append(p)
         return frozenset(reach)
@@ -404,23 +403,27 @@ def search_runs(
     have no included rival in an exclusive group, and to be an end or have a
     successor that leads to an end and has no included rival; an event cannot
     be excluded when it is the last such successor left to an included,
-    unfinished predecessor. Without exclusive groups every branch ends in a
-    run (or the empty set); with them a branch can still die further on,
-    since these prunes look one step ahead. Each leaf is confirmed with
-    run_set_valid, so the search can miss a run but never invent one; tests
-    cross-check it against an exhaustive subset scan.
+    unfinished predecessor; paths to an end avoid ``forced_out``. Without
+    exclusive groups, and with each forced-in event a start or a successor
+    of another, every branch ends in a run (or the empty set); with groups a
+    branch can still die further on, since these prunes look one step ahead.
+    Each leaf is confirmed with run_set_valid, so the search can miss a run
+    but never invent one; tests cross-check it against a subset scan.
 
     Raises BoundExceeded when the search takes more than
     _SEARCH_STEPS_PER_RUN_EVENT * bound * len(events) steps, which caps the
     dead branches a chronology with few runs can cost.
     """
+    closable = chronology.closable(forced_out)
+    if not forced_in <= closable:
+        return  # a forced-in event is ruled out or has no path to an end
     order, _ = topological_order(sorted(chronology.events), chronology.edges, str)
     at = {e: i for i, e in enumerate(order)}
     preds = [[at[p] for p in chronology.predecessors(e)] for e in order]
     rivals = [[at[r] for r in chronology.rivals.get(e, ())] for e in order]
     startable = [e in chronology.starts for e in order]
     endable = [e in chronology.ends for e in order]
-    succs = [sorted(at[s] for s in chronology.successors(e) if s in chronology.closable) for e in order]
+    succs = [sorted(at[s] for s in chronology.successors(e) if s in closable) for e in order]
     # (p, p's other successors in succs) for each unfinished p whose last one this is
     last_chance: list[list[tuple[int, list[int]]]] = [[] for _ in order]
     for p, succ in enumerate(succs):

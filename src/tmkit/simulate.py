@@ -27,15 +27,9 @@ from .model import Arc, ArcKind, StageKind, StageRef, StaticModel
 MEMBER_STAGES = frozenset({StageKind.CREATE, StageKind.PROCESS, StageKind.RECEIVE, StageKind.ACCEPT})
 
 
+@dataclass(frozen=True)
 class Retired:
     """The thing has left the system; it never acts again."""
-
-    _instance: Optional["Retired"] = None
-
-    def __new__(cls) -> "Retired":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
 
     def __str__(self) -> str:
         return "retired"
@@ -154,6 +148,7 @@ class SimState:
     frontier: frozenset[str] = frozenset()  # unfired events not ruled out that are starts or follow a fired one
     witness: Optional[frozenset[str]] = None  # a run holding the fired events and no ruled-out one, if any
     unfinished: frozenset[str] = frozenset()  # fired non-end events with no fired successor
+    searched: dict[str, Optional[frozenset[str]]] = field(init=False, default_factory=dict, compare=False, repr=False)
 
 
 def initial_state(model: StaticModel, subdiagrams: Sequence[Subdiagram], events: Sequence[Event], chronology: Chronology) -> SimState:
@@ -225,11 +220,13 @@ def _ruled_out(state: SimState, event_id: str) -> frozenset[str]:
 def _witness_after(state: SimState, event_id: str) -> Optional[frozenset[str]]:
     """A run that holds the fired events and the event and none of the
     events its firing rules out, or None when there is no such run."""
-    chron, witness = state.ctx.chronology, state.witness
+    chron, witness, searched = state.ctx.chronology, state.witness, state.searched
     if witness is not None and event_id in witness and chron.predecessors(event_id) & witness <= state.fired:
         return witness  # the move stays inside the witness
-    runs = search_runs(chron, len(chron.events), state.fired | {event_id}, _ruled_out(state, event_id))
-    return next(runs, None)
+    if event_id not in searched:  # enabled_events and fire_event ask about the same move
+        runs = search_runs(chron, len(chron.events), state.fired | {event_id}, _ruled_out(state, event_id))
+        searched[event_id] = next(runs, None)
+    return searched[event_id]
 
 
 def enabled_events(state: SimState) -> list[str]:

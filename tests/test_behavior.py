@@ -21,6 +21,7 @@ from tmkit.behavior import (
     enumerate_runs,
     evaluate_trace,
     run_set_valid,
+    search_runs,
 )
 from tmkit.errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
 from tmkit.events import Event
@@ -283,6 +284,19 @@ def test_events_with_no_path_to_an_end_are_never_included():
     decl = ChronologyDecl("c", tuple(ids), tuple(edges), ends=("y",))
     chron = build_chronology([Event(e, "s") for e in ids], decl)
     assert enumerate_runs(chron, bound=len(ids)) == [("s", "y")]
+
+
+def test_events_forced_out_are_no_successors():
+    # twenty threads a_i -> b_i meet at c; with b1..b19 forced out no a_i but
+    # a0 can reach c, and counting b_i as a_i's successor would walk the 2^19
+    # subsets of those a's past the cap of 16 * 1 * 41 steps at bound 1
+    threads = range(20)
+    ids = [f"a{i}" for i in threads] + [f"b{i}" for i in threads] + ["c"]
+    edges = [(f"a{i}", f"b{i}") for i in threads] + [(f"b{i}", "c") for i in threads]
+    chron = build_chronology([Event(e, "s") for e in ids], ChronologyDecl("c", tuple(ids), tuple(edges)))
+    forced_out = {f"b{i}" for i in threads} - {"b0"}
+    assert list(search_runs(chron, 1, {"a0", "b0", "c"}, forced_out)) == [frozenset({"a0", "b0", "c"})]
+    assert list(search_runs(chron, 1, {"a1", "c"}, forced_out)) == []
 
 
 def test_search_steps_are_capped_by_the_bound():

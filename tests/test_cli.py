@@ -215,13 +215,12 @@ def test_simulate_rejects_an_unknown_subdiagram(tmp_path, capsys):
     assert "E-EVENT-UNRESOLVED" in err
 
 
-def simulated_seeds(tmp_path, capsys, chronology):
+def simulated_seeds(tmp_path, capsys, chronology, events="ABCDE"):
     """The event sequences `tmkit simulate` prints for seeds 0-9 on a model
     that never starves; each must exit 0 and evaluate TRUE."""
     text = (
         'model m { thimac a "A" { stages: create; things: "x"; } }\n'
-        'subdiagram s "S" { stages: a.create; }\n'
-        "event A = s\nevent B = s\nevent C = s\nevent D = s\nevent E = s\n" + chronology
+        'subdiagram s "S" { stages: a.create; }\n' + "".join(f"event {e} = s\n" for e in events) + chronology
     )
     path = tmp_path / "sim.tm"
     path.write_text(text)
@@ -258,6 +257,16 @@ def test_simulate_completes_a_join_from_either_side_or_both(tmp_path, capsys):
     seen = simulated_seeds(tmp_path, capsys, "chronology c {\n  A -> C;\n  B -> C;\n  start: A, B;\n  end: C;\n}\n")
     assert {("A", "C"), ("B", "C")} <= seen
     assert seen & {("A", "B", "C"), ("B", "A", "C")}
+
+
+def test_simulate_completes_a_wide_join(tmp_path, capsys):
+    # twenty threads A_i -> B_i meet at C; once some B fired, each candidate C
+    # is searched with the unfired B's forced out
+    threads = range(20)
+    events = [f"A{i}" for i in threads] + [f"B{i}" for i in threads] + ["C"]
+    chronology = "chronology c {\n" + "".join(f"  A{i} -> B{i};\n  B{i} -> C;\n" for i in threads) + "}\n"
+    seen = simulated_seeds(tmp_path, capsys, chronology, events)
+    assert all(run[-1] == "C" for run in seen)
 
 
 def test_python_dash_m_tmkit_runs_the_cli():

@@ -414,6 +414,17 @@ def test_a_long_chain_checks_its_run_once(monkeypatch):
     assert evaluate_trace(chron, trace).truth
 
 
+def test_each_move_is_searched_once(monkeypatch, airport, airport_chronology):
+    # fire_event reuses the witness enabled_events found for the same move
+    sim = importlib.import_module("tmkit.simulate")
+    real, calls = sim.search_runs, []
+    monkeypatch.setattr(sim, "search_runs", lambda c, b, *forced: calls.append(forced) or real(c, b, *forced))
+    for seed in range(30):
+        calls.clear()
+        simulate(airport.model, airport.subdiagrams, airport.events, airport_chronology, Seeded(seed))
+        assert len(calls) == len(set(calls)), seed
+
+
 def test_every_move_sequence_reaches_exactly_the_runs():
     """Without windows, on a model that never starves, every sequence of
     moves can go on until the fired events form a run, and the runs so
