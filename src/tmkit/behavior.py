@@ -100,6 +100,17 @@ class Chronology:
                 out[m] = out.get(m, frozenset()) | (g.members - {m})
         return out
 
+    @cached_property
+    def _search_index(self) -> tuple[list[str], list[list[int]], list[list[int]], list[list[int]], list[bool], list[bool]]:
+        """search_runs' index, which nothing forced changes: the events in topological order and,
+        by position, their predecessors, rivals and sorted successors, and whether each is a start and an end."""
+        order, _ = topological_order(sorted(self.events), self.edges, str)
+        at = {e: i for i, e in enumerate(order)}
+        preds = [[at[p] for p in self.predecessors(e)] for e in order]
+        rivals = [[at[r] for r in self.rivals.get(e, ())] for e in order]
+        succs = [sorted(at[s] for s in self.successors(e)) for e in order]
+        return order, preds, rivals, succs, [e in self.starts for e in order], [e in self.ends for e in order]
+
     def closable(self, without: AbstractSet[str] = frozenset()) -> frozenset[str]:
         """Events with a path of successors to an end that avoids ``without``; no run avoiding it holds any other."""
         reach = set(self.ends - without)
@@ -417,13 +428,8 @@ def search_runs(
     closable = chronology.closable(forced_out)
     if not forced_in <= closable:
         return  # a forced-in event is ruled out or has no path to an end
-    order, _ = topological_order(sorted(chronology.events), chronology.edges, str)
-    at = {e: i for i, e in enumerate(order)}
-    preds = [[at[p] for p in chronology.predecessors(e)] for e in order]
-    rivals = [[at[r] for r in chronology.rivals.get(e, ())] for e in order]
-    startable = [e in chronology.starts for e in order]
-    endable = [e in chronology.ends for e in order]
-    succs = [sorted(at[s] for s in chronology.successors(e) if s in closable) for e in order]
+    order, preds, rivals, all_succs, startable, endable = chronology._search_index
+    succs = [[s for s in succ if order[s] in closable] for succ in all_succs]
     # (p, p's other successors in succs) for each unfinished p whose last one this is
     last_chance: list[list[tuple[int, list[int]]]] = [[] for _ in order]
     for p, succ in enumerate(succs):

@@ -82,7 +82,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         diags.extend(check_subdiagram(doc.model, sub))
     _, event_diags = eventize(doc.subdiagrams, doc.events)
     diags.extend(event_diags)
-    for d in dg.sort_diagnostics(diags):
+    diags = dg.sort_diagnostics(diags)
+    for d in diags:
         print(d, file=sys.stderr)
 
     report = coverage(doc.model, doc.subdiagrams)
@@ -96,7 +97,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             {
                 "diagnostics": [
                     {"code": d.code, "severity": str(d.severity), "message": d.message, "elements": list(d.elements)}
-                    for d in dg.sort_diagnostics(diags)
+                    for d in diags
                 ],
                 "coverage": {
                     "uncovered_stages": [str(r) for r in report.uncovered_stages],
@@ -209,58 +210,61 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     return OK if result.isomorphic else INVALID
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# name -> (help, handler, arguments); an argument is its flags, then its add_argument keywords
+# (read-only: each call's Namespace gets the same append default lists, which the handlers only read)
+_FILE, _CHRONOLOGY = ("file", {}), ("--chronology", {})
+_COMMANDS = {
+    "check": ("parse, validate and report coverage", _cmd_check, [_FILE]),
+    "desugar": ("expand simplified notation to full", _cmd_desugar, [_FILE]),
+    "evaluate": ("truth-evaluate a trace against a chronology", _cmd_evaluate, [_FILE, _CHRONOLOGY, ("--trace", {"required": True})]),
+    "simulate": (
+        "produce a conforming trace",
+        _cmd_simulate,
+        [_FILE, _CHRONOLOGY, ("--seed", {"type": int}), ("--choose", {"action": "append", "default": [], "metavar": "GROUP=EVENT"})],
+    ),
+    "runs": ("enumerate all runs", _cmd_runs, [_FILE, _CHRONOLOGY, ("--bound", {"type": int, "default": 1000})]),
+    "render": (
+        "emit DOT for a view of the document",
+        _cmd_render,
+        [
+            _FILE,
+            ("--level", {"choices": [lv.value for lv in Level], "default": "static"}),
+            ("-o", "--output", {}),
+            ("--highlight", {"action": "append", "default": []}),
+            ("--flat", {"action": "store_true", "help": "no nested clusters"}),
+        ],
+    ),
+    "iso": ("structural equivalence of two models", _cmd_iso, [("file_a", {}), ("file_b", {})]),
+}
+
+
+def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of the command ``only`` alone: that one parses and reports
+    like the full one on an argv that starts with the command, and its usage still lists every command."""
     p = argparse.ArgumentParser(prog="tmkit", description="thinging-machine model toolkit")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("check", help="parse, validate and report coverage")
-    c.add_argument("file")
-    c.set_defaults(fn=_cmd_check)
-
-    c = sub.add_parser("desugar", help="expand simplified notation to full")
-    c.add_argument("file")
-    c.set_defaults(fn=_cmd_desugar)
-
-    c = sub.add_parser("evaluate", help="truth-evaluate a trace against a chronology")
-    c.add_argument("file")
-    c.add_argument("--chronology")
-    c.add_argument("--trace", required=True)
-    c.set_defaults(fn=_cmd_evaluate)
-
-    c = sub.add_parser("simulate", help="produce a conforming trace")
-    c.add_argument("file")
-    c.add_argument("--chronology")
-    c.add_argument("--seed", type=int)
-    c.add_argument("--choose", action="append", default=[], metavar="GROUP=EVENT")
-    c.set_defaults(fn=_cmd_simulate)
-
-    c = sub.add_parser("runs", help="enumerate all runs")
-    c.add_argument("file")
-    c.add_argument("--chronology")
-    c.add_argument("--bound", type=int, default=1000)
-    c.set_defaults(fn=_cmd_runs)
-
-    c = sub.add_parser("render", help="emit DOT for a view of the document")
-    c.add_argument("file")
-    c.add_argument("--level", choices=[lv.value for lv in Level], default="static")
-    c.add_argument("-o", "--output")
-    c.add_argument("--highlight", action="append", default=[])
-    c.add_argument("--flat", action="store_true", help="no nested clusters")
-    c.set_defaults(fn=_cmd_render)
-
-    c = sub.add_parser("iso", help="structural equivalence of two models")
-    c.add_argument("file_a")
-    c.add_argument("file_b")
-    c.set_defaults(fn=_cmd_iso)
-
+    # on the full tree a metavar would rename "argument command" in its errors
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (summary, fn, arguments) in _COMMANDS.items():
+        if only in (None, name):
+            c = sub.add_parser(name, help=summary)
+            for *flags, keywords in arguments:
+                c.add_argument(*flags, **keywords)
+            c.set_defaults(fn=fn)
     return p
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.command == "simulate" and args.seed is not None and args.choose:
         parser.error("--seed and --choose are mutually exclusive")
+    return args
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; help and usage errors (no or an unknown command) build every command's parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_args(_build_parser(argv[0] if argv and argv[0] in _COMMANDS else None), argv)
     try:
         return args.fn(args)
     except _Fail as e:

@@ -299,6 +299,15 @@ def test_events_forced_out_are_no_successors():
     assert list(search_runs(chron, 1, {"a1", "c"}, forced_out)) == []
 
 
+def test_the_search_orders_a_chronology_once_whatever_it_forces(monkeypatch):
+    real, calls = behavior.topological_order, []
+    monkeypatch.setattr(behavior, "topological_order", lambda *a: calls.append(a) or real(*a))
+    chron = diamonds(3)
+    calls.clear()
+    runs = [list(search_runs(chron, 8, forced_out={e})) for e in ("a0", "b0", "a1")]
+    assert [len(r) for r in runs] == [4, 4, 4] and len(calls) == 1
+
+
 def test_search_steps_are_capped_by_the_bound():
     # the dead end is two steps past the x's, beyond the include-time check
     chron = fan(40, via="z")

@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, strategies as st
 
+from tmkit import cli
 from tmkit.behavior import build_chronology, evaluate_trace
 from tmkit.cli import main
 from tmkit.syntax import parse_text
@@ -277,3 +282,66 @@ def test_python_dash_m_tmkit_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "14 subdiagrams, 14 events" in done.stdout
+
+
+class Parsed(Exception):
+    pass
+
+
+def parse_outcome(argv, full):
+    """Exit status, stdout, stderr and Namespace of main's parsing of argv,
+    with the parser main builds or, if ``full``, with every command's."""
+    real = cli._parse_args
+
+    def parse_only(parser, argv):
+        raise Parsed(real(cli._build_parser() if full else parser, argv))
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "_parse_args", parse_only), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(argv)
+        except SystemExit as e:
+            return e.code, out.getvalue(), err.getvalue(), None
+        except Parsed as p:
+            return None, out.getvalue(), err.getvalue(), p.args[0]
+
+
+COMMANDS = list(cli._COMMANDS)
+USAGE_ARGV = (
+    [[], ["--help"], ["-h"], ["-h", "check"], ["bogus"], ["che"]]
+    + [[command, "--help"] for command in COMMANDS]
+    + [
+        ["check"],
+        ["evaluate", "f.tm"],
+        ["runs", "f.tm", "--frobnicate"],
+        ["render", "f.tm", "--level", "nope"],
+        ["check", "a", "b"],
+        ["simulate", "f", "--seed", "1", "--choose", "g=e"],
+        ["simulate", "f", "--choose", "g=e", "--choose", "h=d"],
+        ["render", "f.tm", "-o", "f.dot", "--highlight", "A,B", "--flat"],
+    ]
+)
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
+def test_the_one_command_parser_parses_like_the_full_one(argv):
+    assert parse_outcome(argv, full=False) == parse_outcome(argv, full=True)
+
+
+FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values() for *flags, _ in arguments for flag in flags if flag[0] == "-"})
+WORDS = st.sampled_from(COMMANDS + FLAGS + ["-h", "--help", "--", "f.tm", "1", "-1", "x", "g=e", "static", "nope", "che"])
+ARGVS = st.lists(WORDS, max_size=6) | st.builds(lambda c, rest: [c, *rest], st.sampled_from(COMMANDS), st.lists(WORDS, max_size=5))
+
+
+@given(ARGVS)
+def test_any_argv_parses_alike_with_one_command_or_all(argv):
+    assert parse_outcome(argv, full=False) == parse_outcome(argv, full=True)
+
+
+def test_main_builds_only_the_invoked_commands_parser(capsys):
+    real, built = cli._build_parser, []
+    with mock.patch.object(cli, "_build_parser", lambda only=None: built.append(only) or real(only)):
+        for argv in (["runs", "--help"], ["--help"], ["che"], ["check", fixture_path("airport.tm")]):
+            with contextlib.suppress(SystemExit):
+                main(argv)
+    assert built == ["runs", None, None, "check"]
