@@ -112,11 +112,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_desugar(args: argparse.Namespace) -> int:
     doc = _load(args.file)
-    try:
-        full = desugar(doc.model)
-    except TmkitError as e:
-        raise _Fail(INVALID, str(e))
-    print(print_document(replace(doc, model=full)), end="")
+    print(print_document(replace(doc, model=desugar(doc.model))), end="")
     return OK
 
 
@@ -160,10 +156,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         seed = args.seed if args.seed is not None else 0
         policy = Seeded(seed)
         trace_id = f"sim_seed_{seed}"
-    try:
-        trace = simulate(doc.model, doc.subdiagrams, doc.events, chron, policy, trace_id)
-    except TmkitError as e:
-        raise _Fail(INVALID, str(e))
+    trace = simulate(doc.model, doc.subdiagrams, doc.events, chron, policy, trace_id)
     body = ", ".join(f"{e} @ {ts}" for e, ts in trace.occurrences)
     print(f"trace {trace.id} = [ {body} ]")
     return OK
@@ -201,10 +194,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_iso(args: argparse.Namespace) -> int:
     a = _load(args.file_a)
     b = _load(args.file_b)
-    try:
-        result = models_isomorphic(a.model, b.model)
-    except TmkitError as e:
-        raise _Fail(INVALID, str(e))
+    result = models_isomorphic(a.model, b.model)
     print(f"isomorphic: {'true' if result.isomorphic else 'false'}")
     print(_machine_block({"isomorphic": result.isomorphic, "mapping": result.mapping}))
     return OK if result.isomorphic else INVALID
@@ -270,6 +260,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _Fail as e:
         print(f"tmkit: {e}", file=sys.stderr)
         return e.status
+    except TmkitError as e:  # an input the command cannot take
+        print(f"tmkit: {e}", file=sys.stderr)
+        return INVALID
 
 
 if __name__ == "__main__":

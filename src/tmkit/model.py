@@ -240,7 +240,8 @@ def models_isomorphic(a: StaticModel, b: StaticModel, limit: int = DEFAULT_ISO_L
             raise SizeLimitExceeded(f"model '{m.name}' has {n} elements (limit {limit})")
 
     def signature(t: Thimac) -> tuple:
-        return (frozenset(t.stages), tuple(sorted(signature(c) for c in t.children)))
+        # stage names, not frozensets: sorting needs a total order, and set < set is only the subset order
+        return (sorted(k.value for k in t.stages), sorted(signature(c) for c in t.children))
 
     def match_forest(xs: tuple[Thimac, ...], ys: tuple[Thimac, ...], mapping: dict[str, str]) -> Iterator[dict[str, str]]:
         if len(xs) != len(ys):

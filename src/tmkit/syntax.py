@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 from operator import itemgetter
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import diagnostics as dg
 from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
@@ -47,6 +47,7 @@ MAX_NESTING = 100
 
 _STAGE_WORDS = {k.value: k for k in StageKind}
 _SECTION_KEYWORDS = ("model", "subdiagram", "event", "chronology", "trace")
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -230,19 +231,32 @@ class _Parser:
                 return
             self.advance()
 
-    # -- grammar
+    # -- grammar: one method per rule (N. Wirth, Compiler Construction, 1996)
+
+    def items(self, item: Callable[[], _T], sep: str = ",") -> list[_T]:
+        """item {sep item}"""
+        found = [item()]
+        while self.kinds[self.pos] == "punct" and self.texts[self.pos] == sep:
+            self.pos += 1
+            found.append(item())
+        return found
+
+    def clause(self, item: Callable[[], _T]) -> list[_T]:
+        """keyword ":" items ";", read from the keyword on"""
+        self.advance()
+        self.expect("punct", ":")
+        found = self.items(item)
+        self.expect("punct", ";")
+        return found
+
+    def event_id(self) -> str:
+        return self.expect("ident", what="event id")
 
     def document(self) -> Optional[Document]:
-        model: Optional[StaticModel] = None
-        saw_model = False
-        subdiagrams: list[Subdiagram] = []
-        events: list[Event] = []
-        chronologies: list[ChronologyDecl] = []
-        traces: list[Trace] = []
-        section_rank = {"model": 0, "subdiagram": 1, "event": 2, "chronology": 3, "trace": 4}
+        # each section's keyword is read here, and its rule, the method <keyword>_section, reads the rest
+        rules = {word: getattr(self, f"{word}_section") for word in _SECTION_KEYWORDS}
+        sections: dict[str, list[tuple[int, object]]] = {word: [] for word in _SECTION_KEYWORDS}  # (id token, parsed or None)
         reached = -1
-        named: dict[str, list[int]] = {"subdiagram": [], "event": [], "chronology": [], "trace": []}  # id tokens
-
         while not self.at("eof"):
             at, word = self.pos, self.texts[self.pos]
             if not self.at_keyword(*_SECTION_KEYWORDS):
@@ -250,69 +264,46 @@ class _Parser:
                 self.advance()
                 self.sync_to_section()
                 continue
-            rank = section_rank[word]
-            if word == "model" and saw_model:
+            rank = _SECTION_KEYWORDS.index(word)
+            if word == "model" and sections["model"]:
                 self.diags.append(
                     dg.error(dg.DUPLICATE_SECTION, "a document holds exactly one model section", span=self.span(self.starts[at]))
                 )
             elif rank < reached:
                 self.report(f"{word} section out of order (sections go model, subdiagram, event, chronology, trace)", at)
             reached = max(reached, rank)
+            self.advance()
             try:
-                if word == "model":
-                    first = not saw_model
-                    saw_model = True
-                    parsed = self.model_section()
-                    if first:
-                        model = parsed
-                elif word == "subdiagram":
-                    subdiagrams.append(self.subdiagram_section())
-                elif word == "event":
-                    events.append(self.event_section())
-                elif word == "chronology":
-                    chronologies.append(self.chronology_section(len(chronologies)))
-                else:
-                    traces.append(self.trace_section())
-                if word != "model":
-                    named[word].append(at + 1)
+                parsed = rules[word]()
             except _SyntaxError as e:
                 self.report(e.message, e.at)
                 self.sync_to_section()
+                parsed = None
+            sections[word].append((at + 1, parsed))
 
+        models = sections.pop("model")
+        model = models[0][1] if models else None  # the first model section decides
         if model is None:
-            if not saw_model:
+            if not models:
                 self.report("a document needs a model section", self.pos)
             return None
 
-        for what, ids in named.items():
-            self._check_unique(what, ids)
-        for trace in traces:
+        # a section that did not parse declares nothing
+        sections = {what: [(i, s) for i, s in found if s is not None] for what, found in sections.items()}
+        for what, found in sections.items():
+            seen: set[str] = set()
+            for i, _ in found:
+                name = self.texts[i]
+                if name in seen:
+                    self.diags.append(dg.error(dg.SYNTAX, f"duplicate {what} id '{name}'", (name,), self.span(self.starts[i])))
+                seen.add(name)
+        for i, trace in sections["trace"]:
             problem = check_trace_shape(trace)
             if problem is not None:
-                self.diags.append(
-                    dg.error(dg.SYNTAX, f"trace '{trace.id}': {problem}", (trace.id,), self.spans.get(trace.id, dg.Span()))
-                )
-
-        return Document(
-            model=model,
-            subdiagrams=tuple(subdiagrams),
-            events=tuple(events),
-            chronologies=tuple(chronologies),
-            traces=tuple(traces),
-            spans=self.spans,
-        )
-
-    def _check_unique(self, what: str, ids: list[int]) -> None:
-        """Report each id token whose id an earlier one of the same section kind declared."""
-        seen: set[str] = set()
-        for i in ids:
-            name = self.texts[i]
-            if name in seen:
-                self.diags.append(dg.error(dg.SYNTAX, f"duplicate {what} id '{name}'", (name,), self.span(self.starts[i])))
-            seen.add(name)
+                self.diags.append(dg.error(dg.SYNTAX, f"trace '{trace.id}': {problem}", (trace.id,), self.span(self.starts[i])))
+        return Document(model, *(tuple(s for _, s in found) for found in sections.values()), spans=self.spans)
 
     def model_section(self) -> Optional[StaticModel]:
-        self.expect("ident", "model")
         mark = len(self.declared)
         name = self.expect("ident", what="model name")
         notation = Notation.FULL
@@ -346,49 +337,36 @@ class _Parser:
         name = self.declare("thimac id")
         label = self.expect("string", what="thimac label")
         self.expect("punct", "{")
-        stages: list[StageKind] = []
-        memory = False
+        words: list[str] = []  # stage kinds and memory, each once
         things: list[str] = []
         children: list[ThimacDecl] = []
+
+        def stage_word() -> None:
+            word = self.expect("ident", what="stage kind")
+            if word not in _STAGE_WORDS and word != "memory":
+                raise _SyntaxError(f"unknown stage kind {word!r}", self.pos - 1)
+            if word not in words:
+                words.append(word)
+            elif word == "memory":
+                self.report("memory declared twice", self.pos - 1)
+            else:
+                self.report(f"a machine holds one {word} stage, '{name}' declares two", self.pos - 1)
+
         while not self.at("punct", "}"):
             if self.at_keyword("stages"):
-                self.advance()
-                self.expect("punct", ":")
-                while True:
-                    word = self.expect("ident", what="stage kind")  # at self.pos - 1
-                    if word == "memory":
-                        if memory:
-                            self.report("memory declared twice", self.pos - 1)
-                        memory = True
-                    elif word in _STAGE_WORDS:
-                        kind = _STAGE_WORDS[word]
-                        if kind in stages:
-                            self.report(f"a machine holds one {kind.value} stage, '{name}' declares two", self.pos - 1)
-                        else:
-                            stages.append(kind)
-                    else:
-                        raise _SyntaxError(f"unknown stage kind {word!r}", self.pos - 1)
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
-                self.expect("punct", ";")
+                self.clause(stage_word)
             elif self.at_keyword("things"):
-                self.advance()
-                self.expect("punct", ":")
-                while True:
-                    things.append(self.expect("string", what="thing label"))
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
-                self.expect("punct", ";")
+                things += self.clause(self.thing_label)
             elif self.at_keyword("thimac"):
                 children.append(self.thimac_decl(depth + 1))
             else:
                 raise self.unexpected("stages, things or thimac")
         self.expect("punct", "}")
-        return ThimacDecl(name, label, stages, children, things, memory)
+        stages = [_STAGE_WORDS[word] for word in words if word != "memory"]
+        return ThimacDecl(name, label, stages, children, things, "memory" in words)
+
+    def thing_label(self) -> str:
+        return self.expect("string", what="thing label")
 
     def arc_decl(self) -> ArcDecl:
         kind = ArcKind.FLOW if self.advance() == "flow" else ArcKind.TRIGGER
@@ -408,8 +386,10 @@ class _Parser:
             raise _SyntaxError(f"unknown stage kind {word!r}", self.pos - 1)
         return (thimac, _STAGE_WORDS[word])
 
+    def arc_id(self) -> str:
+        return self.expect("ident", what="arc id")
+
     def subdiagram_section(self) -> Subdiagram:
-        self.expect("ident", "subdiagram")
         name = self.declare("subdiagram id")
         label = self.expect("string", what="subdiagram label")
         self.expect("punct", "{")
@@ -417,32 +397,15 @@ class _Parser:
         arcs: list[str] = []
         while not self.at("punct", "}"):
             if self.at_keyword("stages"):
-                self.advance()
-                self.expect("punct", ":")
-                while True:
-                    stages.append(StageRef(*self.stage_ref()))
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
-                self.expect("punct", ";")
+                stages += [StageRef(*ref) for ref in self.clause(self.stage_ref)]
             elif self.at_keyword("arcs"):
-                self.advance()
-                self.expect("punct", ":")
-                while True:
-                    arcs.append(self.expect("ident", what="arc id"))
-                    if self.at("punct", ","):
-                        self.advance()
-                        continue
-                    break
-                self.expect("punct", ";")
+                arcs += self.clause(self.arc_id)
             else:
                 raise self.unexpected("stages or arcs")
         self.expect("punct", "}")
         return Subdiagram(name, label, tuple(stages), tuple(arcs))
 
     def event_section(self) -> Event:
-        self.expect("ident", "event")
         name = self.declare("event id")
         self.expect("punct", "=")
         sub = self.expect("ident", what="subdiagram id")
@@ -454,8 +417,7 @@ class _Parser:
             window = (t0, self.integer("window end"))
         return Event(name, sub, window)
 
-    def chronology_section(self, index: int) -> ChronologyDecl:
-        self.expect("ident", "chronology")
+    def chronology_section(self) -> ChronologyDecl:
         at = self.pos
         name = self.declare("chronology id")
         self.expect("punct", "{")
@@ -469,17 +431,11 @@ class _Parser:
             # an identifier followed by '->' is an edge, even when the event
             # id collides with an item keyword like 'end'
             if self.at("ident") and self.kinds[self.pos + 1] == "punct" and self.texts[self.pos + 1] == "->":
-                chain = [self.advance()]
-                while self.at("punct", "->"):
-                    self.advance()
-                    chain.append(self.expect("ident", what="event id"))
+                chain = self.items(self.event_id, "->")
                 edges.extend(zip(chain, chain[1:]))
                 self.expect("punct", ";")
             elif self.at_keyword("events"):
-                self.advance()
-                self.expect("punct", ":")
-                explicit.extend(self.id_list())
-                self.expect("punct", ";")
+                explicit += self.clause(self.event_id)
             elif self.at_keyword("exclusive"):
                 self.advance()
                 if self.at("ident"):
@@ -491,23 +447,14 @@ class _Parser:
                         auto += 1
                         group_name = f"x{auto}"
                 self.expect("punct", "{")
-                members = [self.expect("ident", what="event id")]
-                while self.at("punct", "|"):
-                    self.advance()
-                    members.append(self.expect("ident", what="event id"))
+                members = self.items(self.event_id, "|")
                 self.expect("punct", "}")
                 self.expect("punct", ";")
                 groups.append(ExclusiveGroup(group_name, frozenset(members)))
             elif self.at_keyword("start"):
-                self.advance()
-                self.expect("punct", ":")
-                starts = self.id_list()
-                self.expect("punct", ";")
+                starts = self.clause(self.event_id)
             elif self.at_keyword("end"):
-                self.advance()
-                self.expect("punct", ":")
-                ends = self.id_list()
-                self.expect("punct", ";")
+                ends = self.clause(self.event_id)
             else:
                 raise self.unexpected("a chronology item")
         self.expect("punct", "}")
@@ -528,30 +475,18 @@ class _Parser:
         )
         return replace(decl, event_ids=tuple(sorted(decl.mentioned())))
 
-    def id_list(self) -> list[str]:
-        ids = [self.expect("ident", what="event id")]
-        while self.at("punct", ","):
-            self.advance()
-            ids.append(self.expect("ident", what="event id"))
-        return ids
-
     def trace_section(self) -> Trace:
-        self.expect("ident", "trace")
         name = self.declare("trace id")
         self.expect("punct", "=")
         self.expect("punct", "[")
-        occurrences: list[tuple[str, int]] = []
-        if not self.at("punct", "]"):
-            while True:
-                ev = self.expect("ident", what="event id")
-                self.expect("punct", "@")
-                occurrences.append((ev, self.integer("timestamp")))
-                if self.at("punct", ","):
-                    self.advance()
-                    continue
-                break
+        occurrences = [] if self.at("punct", "]") else self.items(self.occurrence)
         self.expect("punct", "]")
         return Trace(name, tuple(occurrences))
+
+    def occurrence(self) -> tuple[str, int]:
+        event = self.event_id()
+        self.expect("punct", "@")
+        return (event, self.integer("timestamp"))
 
 
 def parse(source: SourceFile) -> ParseResult:

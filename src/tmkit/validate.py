@@ -144,7 +144,7 @@ def desugar(model: StaticModel) -> StaticModel:
     arcs: list[Arc] = []
     existing: set[tuple[ArcKind, StageRef, StageRef]] = set()
 
-    def exit_chain(thimac_id: str, kind: StageKind) -> list[StageKind]:
+    def exit_chain(kind: StageKind) -> list[StageKind]:
         if kind is T:
             return [T]
         if kind is R:
@@ -156,10 +156,8 @@ def desugar(model: StaticModel) -> StaticModel:
         gate = [A, X] if ({A, X} & t.stages) else [V]
         if kind is T:
             return [T], False
-        if kind in gate and kind is not X:
+        if kind in gate:
             return [T] + gate[: gate.index(kind) + 1], False
-        if kind is X:
-            return [T, A, X], False
         if kind is C:
             return [T] + gate + [C], True
         return [T] + gate + [kind], False
@@ -187,7 +185,7 @@ def desugar(model: StaticModel) -> StaticModel:
 
         dst_thimac = model.thimac(arc.dst.thimac)
         assert dst_thimac is not None
-        out_side = exit_chain(arc.src.thimac, arc.src.kind)
+        out_side = exit_chain(arc.src.kind)
         in_side, trigger_last = entry_chain(dst_thimac, arc.dst.kind)
 
         needed.setdefault(arc.src.thimac, set()).update(out_side)

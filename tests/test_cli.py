@@ -126,6 +126,16 @@ def test_desugar_output_is_valid_full_notation(capsys):
     assert status == 1 and "full notation" in err
 
 
+def test_iso_ignores_the_order_siblings_are_declared_in(capsys, tmp_path):
+    paths = []
+    for siblings in ('thimac a "A" { stages: create; } thimac b "B" { stages: process; }',
+                     'thimac b "B" { stages: process; } thimac a "A" { stages: create; }'):
+        paths.append(tmp_path / f"{len(paths)}.tm")
+        paths[-1].write_text(f'model m {{ thimac p "P" {{ stages: process; {siblings} }} }}\n')
+    status, out, _ = run_cli(capsys, "iso", *map(str, paths))
+    assert status == 0 and out.startswith("isomorphic: true")
+
+
 def test_iso_exit_codes(capsys):
     status, out, _ = run_cli(capsys, "iso", fixture_path("john_mary_v1.tm"), fixture_path("john_mary_v2.tm"))
     assert status == 0 and out.startswith("isomorphic: true")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from tmkit.model import (
     lookup,
     models_isomorphic,
 )
-from tmkit.syntax import parse_text, print_document
+from tmkit.syntax import Document, parse_text, print_document
 
 from conftest import load
 from genutil import random_model
@@ -125,6 +126,26 @@ def test_iso_reflexive_and_symmetric_random():
         b = random_model(rng)
         assert models_isomorphic(a, a).isomorphic
         assert models_isomorphic(a, b).isomorphic == models_isomorphic(b, a).isomorphic
+
+
+def shuffled_siblings(rng, model):
+    """The same model with every list of sibling thimacs in another order."""
+
+    def shuffle(thimacs):
+        thimacs = [replace(t, children=shuffle(t.children)) for t in thimacs]
+        rng.shuffle(thimacs)
+        return tuple(thimacs)
+
+    return replace(model, roots=shuffle(model.roots))
+
+
+def test_iso_ignores_the_order_siblings_are_declared_in():
+    rng = random.Random(9)
+    for i in range(300):
+        a = random_model(rng)
+        result = models_isomorphic(a, shuffled_siblings(rng, a))
+        assert result.isomorphic, (i, print_document(Document(a)))
+        assert sorted(result.mapping) == sorted(result.mapping.values()) == sorted(t.id for t in a.walk())
 
 
 def test_iso_size_limit(airport):

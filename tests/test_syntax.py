@@ -213,6 +213,66 @@ def test_duplicate_section_ids_are_placed_at_the_duplicate(case):
     assert [str(d) for d in res.diagnostics] == [f"dup.tm:{d}" for d in diagnostics]
 
 
+def test_a_malformed_trace_is_placed_at_its_own_declaration():
+    # not at the event of the same id declared before it
+    res = parse_text(_SECTIONS + "event E = s\ntrace E = [ E @ 1, E @ 2 ]\n", path="t.tm")
+    assert res.document is None
+    assert [str(d) for d in res.diagnostics] == ["t.tm:4:7: error: E-SYNTAX: trace 'E': event 'E' occurs twice [E]"]
+
+
+_THIMAC = 'model m {\n  thimac a "A" { %s }\n}\n'
+_SUBDIAGRAM = 'model m { thimac a "A" { stages: create; } flow f: a.create -> a.create; }\nsubdiagram s "S" { %s }\n'
+_CHRONOLOGY = _SUBDIAGRAM % "stages: a.create;" + "event A = s\nevent B = s\nchronology c { %s }\n"
+_TRACE = _SUBDIAGRAM % "stages: a.create;" + "event E = s\ntrace t = [ %s ]\n"
+# one broken list or clause for each place the grammar reads one: text, its diagnostics
+GRAMMAR_ERRORS = {
+    "thimac stages: empty": (_THIMAC % "stages: ;", ["2:26: error: E-SYNTAX: expected stage kind, found ';'"]),
+    "thimac stages: trailing comma": (_THIMAC % "stages: create, ;", ["2:34: error: E-SYNTAX: expected stage kind, found ';'"]),
+    "thimac stages: missing comma": (_THIMAC % "stages: create process;", ["2:33: error: E-SYNTAX: expected ;, found 'process'"]),
+    "thimac stages: unknown kind before the ;": (_THIMAC % "stages: foo bar;", ["2:26: error: E-SYNTAX: unknown stage kind 'foo'"]),
+    "thimac stages: memory twice": (_THIMAC % "stages: memory, memory;", ["2:34: error: E-SYNTAX: memory declared twice"]),
+    "thimac stages: a kind twice": (
+        _THIMAC % "stages: create, create;",
+        ["2:34: error: E-SYNTAX: a machine holds one create stage, 'a' declares two"],
+    ),
+    "thimac things: empty": (_THIMAC % "things: ;", ["2:26: error: E-SYNTAX: expected thing label, found ';'"]),
+    "thimac things: missing comma": (_THIMAC % 'things: "x" "y";', ["2:30: error: E-SYNTAX: expected ;, found 'y'"]),
+    "subdiagram stages: trailing comma": (
+        _SUBDIAGRAM % "stages: a.create, ;",
+        ["2:38: error: E-SYNTAX: expected thimac id, found ';'"],
+    ),
+    "subdiagram stages: missing comma": (
+        _SUBDIAGRAM % "stages: a.create a.create;",
+        ["2:37: error: E-SYNTAX: expected ;, found 'a'"],
+    ),
+    "subdiagram arcs: empty": (_SUBDIAGRAM % "arcs: ;", ["2:26: error: E-SYNTAX: expected arc id, found ';'"]),
+    "subdiagram arcs: missing comma": (_SUBDIAGRAM % "arcs: f g;", ["2:28: error: E-SYNTAX: expected ;, found 'g'"]),
+    "chronology events: empty": (_CHRONOLOGY % "events: ;", ["5:24: error: E-SYNTAX: expected event id, found ';'"]),
+    "chronology events: trailing comma": (_CHRONOLOGY % "events: A,;", ["5:26: error: E-SYNTAX: expected event id, found ';'"]),
+    "chronology start: missing comma": (_CHRONOLOGY % "start: A B;", ["5:25: error: E-SYNTAX: expected ;, found 'B'"]),
+    "chronology end: empty": (_CHRONOLOGY % "end: ;", ["5:21: error: E-SYNTAX: expected event id, found ';'"]),
+    "chronology exclusive: trailing bar": (
+        _CHRONOLOGY % "exclusive { A | };",
+        ["5:32: error: E-SYNTAX: expected event id, found '}'"],
+    ),
+    "chronology exclusive: missing bar": (_CHRONOLOGY % "exclusive g { A B };", ["5:32: error: E-SYNTAX: expected }, found 'B'"]),
+    "chronology chain: no target": (_CHRONOLOGY % "A -> ;", ["5:21: error: E-SYNTAX: expected event id, found ';'"]),
+    "chronology chain: missing arrow": (_CHRONOLOGY % "A -> B B;", ["5:23: error: E-SYNTAX: expected ;, found 'B'"]),
+    "trace: trailing comma": (_TRACE % "E @ 1,", ["4:20: error: E-SYNTAX: expected event id, found ']'"]),
+    "trace: missing comma": (_TRACE % "E @ 1 E @ 2", ["4:19: error: E-SYNTAX: expected ], found 'E'"]),
+    "trace: no timestamp": (_TRACE % "E 1", ["4:15: error: E-SYNTAX: expected @, found '1'"]),
+    "trace: lone comma": (_TRACE % ",", ["4:13: error: E-SYNTAX: expected event id, found ','"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRAMMAR_ERRORS))
+def test_broken_lists_and_clauses_are_placed_where_they_break(case):
+    text, diagnostics = GRAMMAR_ERRORS[case]
+    res = parse_text(text, path="g.tm")
+    assert res.document is None
+    assert [str(d) for d in res.diagnostics] == [f"g.tm:{d}" for d in diagnostics]
+
+
 # text, the one diagnostic, and the id with the place of its first declaration
 MODEL_ERRORS = {
     "duplicate thimac": (
