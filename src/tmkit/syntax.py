@@ -20,8 +20,10 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_left
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, count
 from operator import itemgetter
 from typing import Callable, Optional, TypeVar
 
@@ -68,7 +70,7 @@ class Document:
     events: tuple[Event, ...] = ()
     chronologies: tuple[ChronologyDecl, ...] = ()
     traces: tuple[Trace, ...] = ()
-    spans: dict = field(default_factory=dict, compare=False, repr=False)
+    spans: Mapping[str, dg.Span] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -84,55 +86,92 @@ class ParseResult:
 # ---------------------------------------------------------------------------
 # Tokens
 
-# Every character that is not blank starts exactly one piece, so one split
-# yields the pieces with the blanks between them; a comment or a string is one
-# piece. \d is str.isdecimal, exactly the digits int() accepts. \w also admits
-# numerals such as '²' or 'Ⅻ': a word that starts with one is an error there.
-_PIECE = re.compile(
-    r"""( \#[^\n]* | " (?: \\.? | [^"\\\n] )* "? | -> | \.\. | \d+ | \w+ | [^ \t\r\n] )""",
-    re.VERBOSE | re.DOTALL,
-)
-# token kind by first character; None for a comment, an error or non-ASCII
+# Every character that is neither blank nor in a comment starts exactly one
+# piece; a string is one piece. \d is str.isdecimal, exactly the digits int()
+# accepts. \w also admits numerals such as '²' or 'Ⅻ': a word that starts with
+# one is an error there. The empty piece at the end is the eof token.
+_PIECE = r"""( " (?: \\.? | [^"\\\n] )* "? | -> | \.\. | \d+ | \w+ | [^ \t\r\n] | \Z )"""
+# blanks and whole comments; the empty branch keeps the gaps without a comment,
+# nearly all of them, out of the slower repeat of a group
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*|)"
+# a token is a piece and the blanks and comments after it, so no search fails
+# and none is retried over trailing blanks; the first follows those at the start
+_TOKEN, _LEAD = re.compile(_PIECE + _SKIP, re.VERBOSE | re.DOTALL), re.compile(_SKIP)
+# token kind by first character; None for an error or non-ASCII
 _KIND = dict.fromkeys(string.ascii_letters + "_", "ident") | dict.fromkeys(string.digits, "int")
 _KIND |= dict.fromkeys("{}:;,.@=[]|-", "punct") | {'"': "string"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
-def _pieces(text: str, base: int = 0) -> tuple[list[Optional[str]], list[str], list[int]]:
-    """Kinds, texts and start offsets of the pieces of ``text``, plus its end offset."""
-    parts = _PIECE.split(text)
-    texts = parts[1::2]
-    starts = list(accumulate(map(len, parts), initial=base))[1::2]
-    return list(map(_KIND.get, map(itemgetter(0), texts))), texts, starts
+class _Spans(Mapping[str, dg.Span]):
+    """Source positions, found when first read, as a clean parse reads none: each token's
+    start offset and, as a read-only mapping, the span of each id's first declaration."""
+
+    def __init__(self, src: SourceFile):
+        self.src = src
+        self.first: dict[str, int] = {}  # token index of each id's first declaration
+
+    @cached_property
+    def starts(self) -> list[int]:
+        """The start offset of each token, the eof token's last."""
+        text = self.src.text
+        return [m.start() for m in _TOKEN.finditer(text, _LEAD.match(text).end())]
+
+    @cached_property
+    def newlines(self) -> list[int]:
+        """Offsets of the newlines, between virtual ones before and after the text."""
+        return list(accumulate(map((1).__add__, map(len, self.src.text.split("\n"))), initial=-1))
+
+    def at(self, pos: int) -> dg.Span:
+        """File, line and column of a source offset; columns count code points."""
+        line = bisect_left(self.newlines, pos)
+        return dg.Span(self.src.path, line, pos - self.newlines[line - 1])
+
+    @cached_property
+    def _spans(self) -> dict[str, dg.Span]:
+        return {name: self.at(self.starts[i]) for name, i in self.first.items()}
+
+    def __getitem__(self, name: str) -> dg.Span:
+        return self._spans[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
 
 
-def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[tuple[str, int]]]:
-    """The token columns of ``text`` (kinds, texts and start offsets), ending
-    in one eof token, and its lexical errors as (message, offset) pairs."""
-    kinds, texts, starts = _pieces(text)
+def _tokenize(spans: _Spans) -> tuple[list[str], list[str], list[tuple[str, int]]]:
+    """The token columns of the source of ``spans`` (kinds and texts), ending in
+    one eof token, and its lexical errors as (message, offset) pairs. Only an
+    error reads the token start offsets, and a rebuilt column replaces them."""
+    text = spans.src.text
+    texts = _TOKEN.findall(text, _LEAD.match(text).end())
+    kinds = [*map(_KIND.get, map(itemgetter(0), texts[:-1])), "eof"]
     errors: list[tuple[str, int]] = []
     if None in set(kinds) or "-" in texts:
-        # rebuild the columns around the pieces the first character does not
-        # tell: comments, a lone '-', other errors and non-ASCII starts
+        # rebuild the columns around the tokens the first character does not
+        # tell: a lone '-', other errors and non-ASCII starts
+        starts = spans.starts
         columns, done = ([], [], []), 0
         for i in [i for i, kind in enumerate(kinds) if kind is None or texts[i] == "-"]:
             for column, old in zip(columns, (kinds, texts, starts)):
                 column += old[done:i]
-            done, todo = i + 1, [(None, texts[i], starts[i])]
-            while todo:
-                kind, piece, start = todo.pop()
+            done, todo = i + 1, [(texts[i], starts[i])]
+            while todo:  # a word piece goes on after a bad first character
+                piece, start = todo.pop()
                 c = piece[0]
-                kind = kind or ("ident" if c.isalpha() else "int" if c.isdecimal() else None)
+                kind = "ident" if c.isalpha() or c == "_" else "int" if c.isdecimal() else None
                 if kind is not None:
                     for column, value in zip(columns, (kind, piece, start)):
                         column.append(value)
-                elif c != "#":
+                else:
                     errors.append((f"unexpected character {c!r}", start))
-                    todo += reversed(list(zip(*_pieces(piece[1:], start + 1))))
+                    todo += reversed([(m[1], m.start()) for m in _TOKEN.finditer(text, start + 1, start + len(piece))][:-1])
         for column, old in zip(columns, (kinds, texts, starts)):
             column += old[done:]
-        kinds, texts, starts = columns
+        kinds, texts, spans.starts = columns
     i = 0
     for _ in range(kinds.count("string")):
         i = kinds.index("string", i)
@@ -140,13 +179,11 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[tuple[st
         if (_ESCAPE.sub("", body) if "\\" in body else body).endswith('"'):
             body = body[:-1]
         else:
-            errors.append(("unterminated string", starts[i]))
+            errors.append(("unterminated string", spans.starts[i]))
         texts[i] = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body) if "\\" in body else body
         i += 1
-    kinds.append("eof")
-    texts.append("")
     errors.sort(key=itemgetter(1))
-    return kinds, texts, starts, errors
+    return kinds, texts, errors
 
 
 class _SyntaxError(Exception):
@@ -158,13 +195,10 @@ class _SyntaxError(Exception):
 
 class _Parser:
     def __init__(self, src: SourceFile):
-        self.src = src
-        self.kinds, self.texts, self.starts, errors = _tokenize(src.text)
-        # offsets of the newlines, between virtual ones before and after the text
-        self.newlines = list(accumulate(map((1).__add__, map(len, src.text.split("\n"))), initial=-1))
-        self.diags: list[dg.Diagnostic] = [dg.error(dg.SYNTAX, msg, span=self.span(at)) for msg, at in errors]
+        self.spans = _Spans(src)
+        self.kinds, self.texts, errors = _tokenize(self.spans)
+        self.diags: list[dg.Diagnostic] = [dg.error(dg.SYNTAX, msg, span=self.spans.at(at)) for msg, at in errors]
         self.pos = 0  # token index
-        self.spans: dict[str, dg.Span] = {}
         self.declared: list[int] = []  # token index of every declaration's id
 
     # -- token helpers
@@ -206,17 +240,13 @@ class _Parser:
         """Expect a declaration's id; an id's first declaration gives its span."""
         i = self.pos
         name = self.expect("ident", what=what)
-        self.spans.setdefault(name, self.span(self.starts[i]))
+        self.spans.first.setdefault(name, i)
         self.declared.append(i)
         return name
 
-    def span(self, pos: int) -> dg.Span:
-        """File, line and column of a source offset; columns count code points."""
-        line = bisect_left(self.newlines, pos)
-        return dg.Span(self.src.path, line, pos - self.newlines[line - 1])
-
-    def report(self, message: str, at: int) -> None:
-        self.diags.append(dg.error(dg.SYNTAX, message, span=self.span(self.starts[at])))
+    def report(self, message: str, at: int, code: str = dg.SYNTAX, elements: tuple[str, ...] = ()) -> None:
+        """An error at token ``at``."""
+        self.diags.append(dg.error(code, message, elements, self.spans.at(self.spans.starts[at])))
 
     def sync_to_section(self) -> None:
         # On error, skip ahead to the next plausible section start.
@@ -266,9 +296,7 @@ class _Parser:
                 continue
             rank = _SECTION_KEYWORDS.index(word)
             if word == "model" and sections["model"]:
-                self.diags.append(
-                    dg.error(dg.DUPLICATE_SECTION, "a document holds exactly one model section", span=self.span(self.starts[at]))
-                )
+                self.report("a document holds exactly one model section", at, dg.DUPLICATE_SECTION)
             elif rank < reached:
                 self.report(f"{word} section out of order (sections go model, subdiagram, event, chronology, trace)", at)
             reached = max(reached, rank)
@@ -295,12 +323,12 @@ class _Parser:
             for i, _ in found:
                 name = self.texts[i]
                 if name in seen:
-                    self.diags.append(dg.error(dg.SYNTAX, f"duplicate {what} id '{name}'", (name,), self.span(self.starts[i])))
+                    self.report(f"duplicate {what} id '{name}'", i, elements=(name,))
                 seen.add(name)
         for i, trace in sections["trace"]:
             problem = check_trace_shape(trace)
             if problem is not None:
-                self.diags.append(dg.error(dg.SYNTAX, f"trace '{trace.id}': {problem}", (trace.id,), self.span(self.starts[i])))
+                self.report(f"trace '{trace.id}': {problem}", i, elements=(trace.id,))
         return Document(model, *(tuple(s for _, s in found) for found in sections.values()), spans=self.spans)
 
     def model_section(self) -> Optional[StaticModel]:
@@ -418,15 +446,13 @@ class _Parser:
         return Event(name, sub, window)
 
     def chronology_section(self) -> ChronologyDecl:
-        at = self.pos
         name = self.declare("chronology id")
         self.expect("punct", "{")
         explicit: list[str] = []
         edges: list[tuple[str, str]] = []
-        groups: list[ExclusiveGroup] = []
+        groups: list[tuple[Optional[int], frozenset[str]]] = []  # (name token or None, members)
         starts: Optional[list[str]] = None
         ends: Optional[list[str]] = None
-        auto = 0
         while not self.at("punct", "}"):
             # an identifier followed by '->' is an edge, even when the event
             # id collides with an item keyword like 'end'
@@ -438,19 +464,13 @@ class _Parser:
                 explicit += self.clause(self.event_id)
             elif self.at_keyword("exclusive"):
                 self.advance()
-                if self.at("ident"):
-                    group_name = self.advance()
-                else:
-                    auto += 1
-                    group_name = f"x{auto}"
-                    while any(g.name == group_name for g in groups):
-                        auto += 1
-                        group_name = f"x{auto}"
+                named = self.pos if self.at("ident") else None  # the group name's token
+                self.pos += named is not None
                 self.expect("punct", "{")
                 members = self.items(self.event_id, "|")
                 self.expect("punct", "}")
                 self.expect("punct", ";")
-                groups.append(ExclusiveGroup(group_name, frozenset(members)))
+                groups.append((named, frozenset(members)))
             elif self.at_keyword("start"):
                 starts = self.clause(self.event_id)
             elif self.at_keyword("end"):
@@ -459,17 +479,19 @@ class _Parser:
                 raise self.unexpected("a chronology item")
         self.expect("punct", "}")
 
-        seen_groups: set[str] = set()
-        for g in groups:
-            if g.name in seen_groups:
-                self.report(f"chronology '{name}' names exclusive group '{g.name}' twice", at)
-            seen_groups.add(g.name)
+        seen: set[str] = set()
+        for i in [i for i, _ in groups if i is not None]:
+            if self.texts[i] in seen:
+                self.report(f"chronology '{name}' names exclusive group '{self.texts[i]}' twice", i)
+            seen.add(self.texts[i])
+        # the unnamed groups are named x1, x2, ..., skipping every explicit name
+        auto = (f"x{n}" for n in count(1) if f"x{n}" not in seen)
 
         decl = ChronologyDecl(
             id=name,
             event_ids=tuple(explicit),
             edges=tuple(edges),
-            groups=tuple(groups),
+            groups=tuple(ExclusiveGroup(next(auto) if i is None else self.texts[i], members) for i, members in groups),
             starts=tuple(starts) if starts is not None else None,
             ends=tuple(ends) if ends is not None else None,
         )

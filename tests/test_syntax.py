@@ -1,5 +1,6 @@
 import io
 import random
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -154,6 +155,14 @@ def test_end_of_file_column_after_a_trailing_comment():
     ]
 
 
+def test_trailing_blanks_and_comments_take_one_scan():
+    # a token search that failed at the end and was retried from each later blank
+    # would take minutes on this text, which parses in milliseconds
+    start = time.perf_counter()
+    res = parse_text("model m { }" + " \n" * 50_000 + "# c\n" * 1_000, path="t.tm")
+    assert res.ok and time.perf_counter() - start < 2
+
+
 def test_escaped_newline_in_a_string_ends_a_line():
     res = parse_text('model m {\n  thimac a "A\\\nB" { junk; }\n}', path="s.tm")
     assert [str(d) for d in res.diagnostics] == [
@@ -218,6 +227,21 @@ def test_a_malformed_trace_is_placed_at_its_own_declaration():
     res = parse_text(_SECTIONS + "event E = s\ntrace E = [ E @ 1, E @ 2 ]\n", path="t.tm")
     assert res.document is None
     assert [str(d) for d in res.diagnostics] == ["t.tm:4:7: error: E-SYNTAX: trace 'E': event 'E' occurs twice [E]"]
+
+
+def test_a_repeated_exclusive_group_name_is_placed_at_its_second_use():
+    events = "event A = s\nevent B = s\nevent C = s\n\n"
+    res = parse_text(_SECTIONS + events + "chronology c {\n  exclusive g { A | B };\n  exclusive g { A | C };\n}\n", path="x.tm")
+    assert res.document is None
+    assert [str(d) for d in res.diagnostics] == ["x.tm:9:13: error: E-SYNTAX: chronology 'c' names exclusive group 'g' twice"]
+
+
+def test_unnamed_exclusive_groups_are_named_around_every_explicit_name():
+    chronology = "chronology c { exclusive { A | B }; exclusive x1 { A | B }; exclusive { A | B }; }\n"
+    res = parse_text(_SECTIONS + "event A = s\nevent B = s\n" + chronology)
+    assert res.ok, res.diagnostics
+    assert [g.name for g in res.document.chronologies[0].groups] == ["x2", "x1", "x3"]
+    assert parse_text(print_document(res.document)).document == res.document
 
 
 _THIMAC = 'model m {\n  thimac a "A" { %s }\n}\n'
@@ -314,7 +338,7 @@ def lexed(text):
     """(tokens, diagnostics) of the parser's tokenizer and of the character
     loop, tokens as (kind, text, line, col) and diagnostics as printed."""
     p = _Parser(SourceFile("f.tm", text))
-    spans = [p.span(start) for start in p.starts]
+    spans = [p.spans.at(start) for start in p.spans.starts]
     got = ([(k, t, s.line, s.col) for k, t, s in zip(p.kinds, p.texts, spans, strict=True)], [str(d) for d in p.diags])
     diags = []
     want = (tokenize_by_chars("f.tm", text, diags), [str(d) for d in diags])
@@ -329,13 +353,35 @@ def test_tokenizer_agrees_with_the_character_loop_on_every_code_point_below_u300
             assert got == want, text
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a # c",  # a comment at the end of the text, with no newline
+        "a #",
+        "#",
+        "# c\n²",  # a comment, then a lexical error
+        "# c\n²b # d",
+        'x "a # b" c',  # '#' inside a string
+        '"a # b',
+        "a # c\r\nb # d\r\n # e\r\n",  # comments with CRLF line ends
+        "a # c\r\n\r\n",
+        "a" + " \n" * 100 + "# c",  # trailing blanks and a comment
+    ],
+)
+def test_tokenizer_agrees_with_the_character_loop_on_comments(text):
+    got, want = lexed(text)
+    assert got == want
+
+
 @settings(max_examples=300, deadline=None)
 @given(spliced_fixtures())
 def test_tokenizer_agrees_with_the_character_loop_on_spliced_fixtures(text):
     got, want = lexed(text)
     assert got == want
-    res = parse_text(text)  # must not raise
+    res = parse_text(text, path="f.tm")  # must not raise
     assert res.document is not None or res.diagnostics
+    if res.document is not None:
+        assert res.document.spans == first_declarations(text)
 
 
 @settings(max_examples=40, deadline=None)
@@ -355,12 +401,12 @@ DECLARING = ("thimac", "flow", "trigger", "subdiagram", "event", "chronology", "
 
 
 def first_declarations(text):
-    """(line, col) of the first declaration of each id, from the oracle's tokens."""
+    """The span in f.tm of the first declaration of each id, from the oracle's tokens."""
     toks = tokenize_by_chars("f.tm", text, [])
     first = {}
     for (kind, word, _, _), (next_kind, name, line, col) in zip(toks, toks[1:]):
         if kind == "ident" and word in DECLARING and next_kind == "ident":
-            first.setdefault(name, (line, col))
+            first.setdefault(name, dg.Span("f.tm", line, col))
     return first
 
 
@@ -370,5 +416,15 @@ def test_declaration_spans_point_at_the_first_declaration_of_their_ids():
     texts += [print_document(random_document(rng)) for _ in range(200)]
     for text in texts:
         doc = parse_text(text, path="f.tm").document
-        assert {s.file for s in doc.spans.values()} <= {"f.tm"}
-        assert {i: (s.line, s.col) for i, s in doc.spans.items()} == first_declarations(text), text
+        assert doc.spans == first_declarations(text), text
+
+
+def test_a_clean_parse_computes_no_position_until_one_is_read():
+    text = (FIXTURES / "airport.tm").read_text(encoding="utf-8")
+    p = _Parser(SourceFile("f.tm", text))
+    doc = p.document()
+    assert doc is not None and not p.diags
+    assert not {"starts", "newlines", "_spans"} & vars(p.spans).keys()
+    assert doc.spans is p.spans and doc.spans == first_declarations(text)
+    with pytest.raises(TypeError):
+        doc.spans["E1"] = dg.Span()
