@@ -8,6 +8,7 @@ results go to stdout inside a fenced ``tmkit`` block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -184,8 +185,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     except TmkitError as e:
         raise _Fail(USAGE, str(e))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as f:
-            f.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as f:
+                f.write(text)
+        except OSError as e:
+            raise _Fail(USAGE, f"cannot write {args.output}: {e}")
     else:
         print(text, end="")
     return OK
@@ -228,19 +232,16 @@ _COMMANDS = {
 }
 
 
-def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
-    """The parser of every command, or of the command ``only`` alone: that one parses and reports
-    like the full one on an argv that starts with the command, and its usage still lists every command."""
+@functools.cache
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process on first use."""
     p = argparse.ArgumentParser(prog="tmkit", description="thinging-machine model toolkit")
-    # on the full tree a metavar would rename "argument command" in its errors
-    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = p.add_subparsers(dest="command", required=True)
     for name, (summary, fn, arguments) in _COMMANDS.items():
-        if only in (None, name):
-            c = sub.add_parser(name, help=summary)
-            for *flags, keywords in arguments:
-                c.add_argument(*flags, **keywords)
-            c.set_defaults(fn=fn)
+        c = sub.add_parser(name, help=summary)
+        for *flags, keywords in arguments:
+            c.add_argument(*flags, **keywords)
+        c.set_defaults(fn=fn)
     return p
 
 
@@ -252,9 +253,8 @@ def _parse_args(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argpars
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Run one command; help and usage errors (no or an unknown command) build every command's parser."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_args(_build_parser(argv[0] if argv and argv[0] in _COMMANDS else None), argv)
+    """Run one command; the first call in a process builds the argument parser."""
+    args = _parse_args(_build_parser(), sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except _Fail as e:

@@ -60,7 +60,7 @@ class SourceFile:
     @classmethod
     def read(cls, path: str) -> "SourceFile":
         with open(path, "rb") as f:
-            return cls(path, f.read().decode("utf-8", errors="replace"))
+            return cls(path, f.read().decode("utf-8-sig", errors="replace"))
 
 
 @dataclass(frozen=True)

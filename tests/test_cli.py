@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tmkit import cli
 from tmkit.behavior import build_chronology, evaluate_trace
@@ -151,6 +152,13 @@ def test_render_to_file(tmp_path, capsys):
     )
     assert status == 0
     assert out_file.read_text().startswith('digraph "B"')
+
+
+def test_render_to_a_path_it_cannot_write_is_an_io_error(tmp_path, capsys):
+    for target in (tmp_path / "no" / "such" / "dir" / "x.dot", tmp_path):
+        status, out, err = run_cli(capsys, "render", fixture_path("bread.tm"), "-o", str(target))
+        assert (status, out) == (2, "")
+        assert err.startswith(f"tmkit: cannot write {target}: ")
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -298,13 +306,13 @@ class Parsed(Exception):
     pass
 
 
-def parse_outcome(argv, full):
+def parse_outcome(argv, fresh):
     """Exit status, stdout, stderr and Namespace of main's parsing of argv,
-    with the parser main builds or, if ``full``, with every command's."""
+    with the parser main keeps or, if ``fresh``, with one built for this call."""
     real = cli._parse_args
 
     def parse_only(parser, argv):
-        raise Parsed(real(cli._build_parser() if full else parser, argv))
+        raise Parsed(real(cli._build_parser.__wrapped__() if fresh else parser, argv))
 
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(cli, "_parse_args", parse_only), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -335,23 +343,49 @@ USAGE_ARGV = (
 
 @pytest.mark.parametrize("argv", USAGE_ARGV, ids=" ".join)
 def test_the_one_command_parser_parses_like_the_full_one(argv):
-    assert parse_outcome(argv, full=False) == parse_outcome(argv, full=True)
+    # the one parser main keeps answers like a full tree built afresh
+    assert parse_outcome(argv, fresh=False) == parse_outcome(argv, fresh=True)
 
 
 FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values() for *flags, _ in arguments for flag in flags if flag[0] == "-"})
 WORDS = st.sampled_from(COMMANDS + FLAGS + ["-h", "--help", "--", "f.tm", "1", "-1", "x", "g=e", "static", "nope", "che"])
 ARGVS = st.lists(WORDS, max_size=6) | st.builds(lambda c, rest: [c, *rest], st.sampled_from(COMMANDS), st.lists(WORDS, max_size=5))
+STEPS = st.tuples(st.sampled_from(["40", "80", "200"]), ARGVS | st.sampled_from(USAGE_ARGV))
+APPENDED_THEN_NOT = [["render", "f.tm", "--highlight", "A"], ["render", "f.tm"], ["simulate", "f.tm", "--choose", "g=e"], ["simulate", "f.tm"]]
 
 
-@given(ARGVS)
-def test_any_argv_parses_alike_with_one_command_or_all(argv):
-    assert parse_outcome(argv, full=False) == parse_outcome(argv, full=True)
+@example([("80", argv) for argv in APPENDED_THEN_NOT])
+@example([("40", ["--help"]), ("200", ["--help"])])
+@given(st.lists(STEPS, min_size=1, max_size=5))
+def test_a_sequence_of_calls_parses_alike_with_the_kept_parser_or_a_fresh_one(steps):
+    # each step is a terminal width and an argv
+    for columns, argv in steps:
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+            assert parse_outcome(argv, fresh=False) == parse_outcome(argv, fresh=True)
 
 
-def test_main_builds_only_the_invoked_commands_parser(capsys):
-    real, built = cli._build_parser, []
-    with mock.patch.object(cli, "_build_parser", lambda only=None: built.append(only) or real(only)):
-        for argv in (["runs", "--help"], ["--help"], ["che"], ["check", fixture_path("airport.tm")]):
+def test_the_kept_parser_carries_nothing_from_one_call_to_the_next():
+    parse_outcome(["render", "f.tm", "--highlight", "A"], fresh=False)
+    assert parse_outcome(["render", "f.tm"], fresh=False)[3].highlight == []
+    parse_outcome(["simulate", "f.tm", "--choose", "g=e"], fresh=False)
+    assert parse_outcome(["simulate", "f.tm"], fresh=False)[3].choose == []
+    # help wraps at the width of the terminal of each call
+    for columns, one_line in (("40", False), ("200", True), ("40", False)):
+        with mock.patch.dict(os.environ, {"COLUMNS": columns}):
+            status, out, _, _ = parse_outcome(["--help"], fresh=False)
+        assert status == 0 and ("parse, validate and report coverage" in out) == one_line
+
+
+def test_main_builds_the_parser_once_per_process(capsys):
+    real, built = argparse.ArgumentParser.__init__, []
+
+    def init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    with mock.patch.object(argparse.ArgumentParser, "__init__", init):
+        for argv in (["check", fixture_path("airport.tm")], ["check", fixture_path("bread.tm")], ["--help"]):
             with contextlib.suppress(SystemExit):
                 main(argv)
-    assert built == ["runs", None, None, "check"]
+    assert built == ["tmkit"] + [f"tmkit {command}" for command in COMMANDS]

@@ -120,6 +120,24 @@ def test_parse_of_bytes_with_replacement_chars():
     assert res.document is not None or res.diagnostics
 
 
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    plain, mark = (FIXTURES / "bread.tm").read_bytes(), b"\xef\xbb\xbf"
+    bom = tmp_path / "bread.tm"
+    bom.write_bytes(mark + plain)
+    with_bom = parse(SourceFile.read(str(bom)))
+    without = parse(SourceFile(str(bom), plain.decode("utf-8")))
+    assert with_bom.document is not None and not with_bom.diagnostics
+    assert with_bom.document == without.document
+    assert dict(with_bom.document.spans) == dict(without.document.spans)
+    # a mark anywhere but the first bytes is still an unexpected character
+    cut = plain.index(b"\n") + 1
+    for text, line in ((mark + mark + plain, 1), (plain[:cut] + mark + plain[cut:], 2)):
+        bom.write_bytes(text)
+        res = parse(SourceFile.read(str(bom)))
+        assert res.document is None
+        assert [(d.code, d.span.line, d.message) for d in res.diagnostics] == [(dg.SYNTAX, line, "unexpected character '\\ufeff'")]
+
+
 def test_unterminated_string_reported():
     res = parse_text('model m { thimac a "A { stages: create; } }')
     assert res.document is None
