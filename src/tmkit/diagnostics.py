@@ -1,4 +1,5 @@
-"""Diagnostics shared by the parser, the validator and the event checks.
+"""Diagnostics shared by the parser, the validator, the event checks and the
+CLI's chronology phase.
 
 Every check in the toolkit reports problems as :class:`Diagnostic` values
 instead of raising, so callers can collect, sort and print them uniformly.
@@ -43,6 +44,7 @@ SUB_CLOSURE = "E-SUB-CLOSURE"
 EVENT_UNRESOLVED = "E-EVENT-UNRESOLVED"
 EVENT_WINDOW = "E-EVENT-WINDOW"
 EVENT_SHARED = "W-EVENT-SHARED"
+CHRONOLOGY = "E-CHRONOLOGY"
 
 
 @dataclass(frozen=True)

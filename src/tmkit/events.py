@@ -34,10 +34,6 @@ class CoverageReport:
     uncovered_arcs: tuple[str, ...]
     multiply_covered: tuple[str, ...]
 
-    @property
-    def total(self) -> bool:
-        return not self.uncovered_stages and not self.uncovered_arcs
-
 
 def check_subdiagram(model: StaticModel, sub: Subdiagram) -> list[dg.Diagnostic]:
     """Empty iff ``sub`` is a closed subgraph of the model.

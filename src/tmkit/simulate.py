@@ -93,7 +93,7 @@ class _Plan:
 def _plan(sub: Subdiagram, model: StaticModel) -> _Plan:
     """Rank the stages in flow order (ties, and stages on a flow cycle, keep
     declaration order) and lay out the subdiagram's actions by that rank."""
-    arcs = [a for aid in sub.arcs if (a := model.arc(aid)) is not None]
+    arcs = [model.arc(aid) for aid in sub.arcs]
     flows = [a for a in arcs if a.kind is ArcKind.FLOW]
     index = {ref: i for i, ref in enumerate(sub.stages)}
     order, leftover = topological_order(index, ((a.src, a.dst) for a in flows), index.__getitem__)
@@ -172,8 +172,6 @@ def _in_machine(things: dict[str, ThingInstance], thimac_id: str) -> list[ThingI
 
 def _spawn(model: StaticModel, things: dict[str, ThingInstance], thimac_id: str) -> None:
     t = model.thimac(thimac_id)
-    if t is None:
-        raise IllegalAction(StageRef(thimac_id, StageKind.CREATE), "unknown machine")
     for label in t.things or (t.id,):
         if label not in things:  # one instance per created label per run
             things[label] = ThingInstance(id=label, label=label, location=StageRef(thimac_id, StageKind.CREATE))
@@ -204,10 +202,12 @@ def _act(ctx: SimContext, things: dict[str, ThingInstance], inst: ThingInstance,
 # Event firing
 
 
-def _open(state: SimState, event_id: str) -> bool:
-    """Whether the event's admissible window has not closed."""
+def _stamp(state: SimState, event_id: str) -> Optional[int]:
+    """The event's stamp if it fires now, the step or its window's start if
+    that is later; None when its window has closed."""
     w = state.ctx.chronology.window_of(event_id)
-    return w is None or max(state.step, w[0]) <= w[1]
+    stamp = state.step if w is None else max(state.step, w[0])
+    return stamp if w is None or stamp <= w[1] else None
 
 
 def _ruled_out(state: SimState, event_id: str) -> frozenset[str]:
@@ -229,11 +229,17 @@ def _witness_after(state: SimState, event_id: str) -> Optional[frozenset[str]]:
     return searched[event_id]
 
 
+def _enabled_witness(state: SimState, event_id: str) -> Optional[frozenset[str]]:
+    """The witness of firing the event next if it is enabled, else None."""
+    ok = event_id in state.frontier and _stamp(state, event_id) is not None
+    return _witness_after(state, event_id) if ok else None
+
+
 def enabled_events(state: SimState) -> list[str]:
     """Events that may fire next: each unfired event whose window is open and
     that some run holds together with the fired events, with no unfired
     predecessor of any of them."""
-    return sorted(e for e in state.frontier if _open(state, e) and _witness_after(state, e) is not None)
+    return sorted(e for e in state.frontier if _enabled_witness(state, e) is not None)
 
 
 def fire_event(state: SimState, event_id: str) -> SimState:
@@ -246,7 +252,7 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     happen once its actions are done.
     """
     ctx = state.ctx
-    witness = _witness_after(state, event_id) if event_id in state.frontier and _open(state, event_id) else None
+    witness = _enabled_witness(state, event_id)
     if witness is None:
         raise NotEnabled(f"event '{event_id}' is not enabled")
     plan = ctx.plans[ctx.event_by_id[event_id].subdiagram]
@@ -284,9 +290,7 @@ def fire_event(state: SimState, event_id: str) -> SimState:
         if ref.kind is StageKind.CREATE:
             _spawn(ctx.model, things, ref.thimac)
 
-    chron = ctx.chronology
-    window = chron.window_of(event_id)
-    step = state.step if window is None else max(state.step, window[0])
+    chron, step = ctx.chronology, _stamp(state, event_id)
     fired, out = state.fired | {event_id}, _ruled_out(state, event_id)
     return replace(
         state,
@@ -333,7 +337,7 @@ def _deadlock(state: SimState) -> Deadlock:
     where = f"no event can fire after [{', '.join(e for e, _ in state.log)}] at step {state.step}"
     if state.witness is None:
         return Deadlock(f"{where}: chronology '{chron.id}' has no run")
-    closed = [e for e in sorted(state.frontier) if not _open(state, e) and _witness_after(state, e) is not None]
+    closed = [e for e in sorted(state.frontier) if _stamp(state, e) is None and _witness_after(state, e) is not None]
     windows = (f"the window {w[0]}..{w[1]} of {e} has closed" for e in closed for w in [chron.window_of(e)])
     return Deadlock(f"{where}: {'; '.join(windows)}")
 
@@ -352,7 +356,8 @@ def simulate(
     form a run, may stop. The result always satisfies evaluate_trace; with a
     Seeded policy it is a deterministic function of the seed. Raises Deadlock
     when nothing can fire before a run is complete, which only closed windows
-    (or a chronology without runs) cause.
+    (or a chronology without runs) cause. Every subdiagram must pass
+    check_subdiagram and every event eventize, as in a checked document.
     """
     state = initial_state(model, subdiagrams, events, chronology)
     rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None

@@ -78,10 +78,6 @@ class ParseResult:
     document: Optional[Document]
     diagnostics: list[dg.Diagnostic]
 
-    @property
-    def ok(self) -> bool:
-        return self.document is not None and not self.diagnostics
-
 
 # ---------------------------------------------------------------------------
 # Tokens

@@ -76,49 +76,27 @@ def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
     warnings since a bare single-stage thimac is meaningful.
     """
     diags: list[dg.Diagnostic] = []
-
-    for t in model.walk():
-        arrive_accept = {A, X} & t.stages
-        if arrive_accept and (arrive_accept != {A, X} or V in t.stages):
-            diags.append(
-                dg.error(
-                    dg.MODE,
-                    f"thimac '{t.id}' must declare arrive and accept together, replacing receive",
-                    (t.id,),
-                )
-            )
-
     touched: set[StageRef] = set()
     for arc in model.arcs:
         touched.update((arc.src, arc.dst))
         if arc.kind is ArcKind.TRIGGER:
             if arc.src == arc.dst:
                 diags.append(dg.warning(dg.TRIGGER_SELF, f"trigger '{arc.id}' loops on {arc.src}", (arc.id,)))
-            continue
-        if arc.dst.kind is C and not (model.notation is Notation.SIMPLIFIED and arc.cross_machine):
-            diags.append(
-                dg.error(
-                    dg.CREATE_INFLOW,
-                    f"flow '{arc.id}' enters {arc.dst}; things are born there, creation is trigger-only",
-                    (arc.id,),
-                )
-            )
-            continue
-        if not flow_legal(arc.src, arc.dst, model.notation):
-            diags.append(
-                dg.warning(
-                    dg.FLOW_ILLEGAL,
-                    f"flow '{arc.id}' {arc.src} -> {arc.dst} is not a legal move in {model.notation.value} notation",
-                    (arc.id,),
-                )
-            )
+        elif arc.dst.kind is C and not (model.notation is Notation.SIMPLIFIED and arc.cross_machine):
+            message = f"flow '{arc.id}' enters {arc.dst}; things are born there, creation is trigger-only"
+            diags.append(dg.error(dg.CREATE_INFLOW, message, (arc.id,)))
+        elif not flow_legal(arc.src, arc.dst, model.notation):
+            message = f"flow '{arc.id}' {arc.src} -> {arc.dst} is not a legal move in {model.notation.value} notation"
+            diags.append(dg.warning(dg.FLOW_ILLEGAL, message, (arc.id,)))
 
     for t in model.walk():
-        for kind in StageKind:
-            if kind in t.stages and StageRef(t.id, kind) not in touched:
-                diags.append(
-                    dg.warning(dg.STAGE_DANGLING, f"stage {StageRef(t.id, kind)} has no arcs", (t.id,))
-                )
+        arrive_accept = {A, X} & t.stages
+        if arrive_accept and (arrive_accept != {A, X} or V in t.stages):
+            message = f"thimac '{t.id}' must declare arrive and accept together, replacing receive"
+            diags.append(dg.error(dg.MODE, message, (t.id,)))
+        for ref in (StageRef(t.id, kind) for kind in t.stages):
+            if ref not in touched:
+                diags.append(dg.warning(dg.STAGE_DANGLING, f"stage {ref} has no arcs", (t.id,)))
 
     return dg.sort_diagnostics(diags)
 

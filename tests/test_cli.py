@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from tmkit import cli
+from tmkit import diagnostics as dg
 from tmkit.behavior import build_chronology, evaluate_trace
 from tmkit.cli import main
 from tmkit.syntax import parse_text
@@ -347,7 +348,7 @@ def test_the_one_command_parser_parses_like_the_full_one(argv):
     assert parse_outcome(argv, fresh=False) == parse_outcome(argv, fresh=True)
 
 
-FLAGS = sorted({flag for _, _, arguments in cli._COMMANDS.values() for *flags, _ in arguments for flag in flags if flag[0] == "-"})
+FLAGS = sorted({flag for *_, arguments in cli._COMMANDS.values() for *flags, _ in arguments for flag in flags if flag[0] == "-"})
 WORDS = st.sampled_from(COMMANDS + FLAGS + ["-h", "--help", "--", "f.tm", "1", "-1", "x", "g=e", "static", "nope", "che"])
 ARGVS = st.lists(WORDS, max_size=6) | st.builds(lambda c, rest: [c, *rest], st.sampled_from(COMMANDS), st.lists(WORDS, max_size=5))
 STEPS = st.tuples(st.sampled_from(["40", "80", "200"]), ARGVS | st.sampled_from(USAGE_ARGV))
@@ -389,3 +390,144 @@ def test_main_builds_the_parser_once_per_process(capsys):
             with contextlib.suppress(SystemExit):
                 main(argv)
     assert built == ["tmkit"] + [f"tmkit {command}" for command in COMMANDS]
+
+
+# -- the document phases -------------------------------------------------------
+
+_MODEL = 'model m {\n  thimac a "A" { stages: create, process; things: "x"; }\n  flow f: a.create -> a.process;\n}\n'
+_SUB = 'subdiagram s "S" { stages: a.create, a.process; arcs: f; }\n'
+_REST = "event E1 = s\nchronology c { events: E1; }\ntrace t = [ E1 @ 0 ]\n"
+
+# one document per error code, each with that one error
+BROKEN = {
+    "E-SYNTAX": _MODEL + _SUB + _REST + "}\n",
+    "E-DUPLICATE-SECTION": _MODEL + _MODEL + _SUB + _REST,
+    "E-MODE": _MODEL.replace("create, process;", "create, process, arrive;") + _SUB + _REST,
+    "E-CREATE-INFLOW": _MODEL.replace("a.create -> a.process", "a.process -> a.create") + _SUB + _REST,
+    "E-SUB-UNRESOLVED": _MODEL + _SUB.replace("a.process;", "a.process, a.release;") + _REST,
+    "E-SUB-CLOSURE": _MODEL + _SUB.replace("a.create, a.process;", "a.create;") + _REST,
+    "E-EVENT-UNRESOLVED": _MODEL + _SUB + _REST.replace("= s", "= ghost"),
+    "E-EVENT-WINDOW": _MODEL + _SUB + _REST.replace("= s", "= s window 5..1"),
+    "E-CHRONOLOGY": _MODEL + _SUB + _REST.replace("events: E1;", "events: E1, E9;"),
+}
+PHASE_OF = {
+    "E-SYNTAX": 0, "E-DUPLICATE-SECTION": 0, "E-MODE": 1, "E-CREATE-INFLOW": 1, "E-SUB-UNRESOLVED": 2,
+    "E-SUB-CLOSURE": 2, "E-EVENT-UNRESOLVED": 3, "E-EVENT-WINDOW": 3, "E-CHRONOLOGY": 4,
+}  # parse, validate, subdiagrams, events, chronology
+# each command line on a document, and the last phase it runs
+NEEDS = {
+    ("check",): 4,
+    ("runs",): 4,
+    ("evaluate", "--trace", "t"): 4,
+    ("simulate",): 4,
+    ("render", "--level", "behavior"): 4,
+    ("render", "--level", "overlay"): 2,
+    ("render", "--level", "static"): 0,
+    ("desugar",): 0,
+    ("iso", "@"): 0,
+}
+
+
+def test_every_error_code_has_a_broken_document():
+    codes = {v for k, v in vars(dg).items() if k.isupper() and isinstance(v, str) and v.startswith("E-")}
+    assert codes == set(BROKEN)
+
+
+def run_on(capsys, argv, path):
+    command, *rest = argv
+    return run_cli(capsys, command, str(path), *[str(path) if a == "@" else a for a in rest])
+
+
+@pytest.mark.parametrize("argv", list(NEEDS), ids=" ".join)
+@pytest.mark.parametrize("code", list(BROKEN))
+def test_a_command_that_needs_a_broken_phase_exits_1_with_its_code(tmp_path, capsys, code, argv):
+    path = tmp_path / "broken.tm"
+    path.write_text(BROKEN[code])
+    status, out, err = run_on(capsys, argv, path)
+    if PHASE_OF[code] <= NEEDS[argv]:
+        assert status == 1 and f"error: {code}: " in err, (status, err)
+    else:
+        assert status in (0, 1, 2)
+
+
+REPRODUCERS = {
+    "event": (
+        'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
+        "event E1 = ghost\nevent E2 = s window 5..1\nchronology c { E1 -> E2; }\ntrace t = [ E1 @ 0, E2 @ 1 ]\n"
+    ),
+    "subdiagram": (
+        'model m {\n  thimac a "A" { stages: create, process; things: "x"; }\n  flow f: a.create -> a.process;\n}\n'
+        'subdiagram s "S" { stages: a.create, a.process, a.release; arcs: f, ghost; }\n'
+        "event E1 = s\nchronology c { events: E1; }\ntrace t = [ E1 @ 0 ]\n"
+    ),
+    "chronology": (
+        'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
+        "event A = s\nevent B = s\nchronology c { A -> B; B -> A; }\nchronology d { C -> A; }\ntrace t = [ A @ 0 ]\n"
+    ),
+}
+CODES = {"event": ["E-EVENT-UNRESOLVED", "E-EVENT-WINDOW"], "subdiagram": ["E-SUB-UNRESOLVED"] * 2, "chronology": ["E-CHRONOLOGY"] * 2}
+# the command lines that exited 0, or exited 1 without the diagnostics, before every command ran the phases it needs
+CHANGED = [
+    ("event", ("runs",)),
+    ("event", ("evaluate", "--trace", "t")),
+    ("event", ("render", "--level", "behavior")),
+    ("event", ("simulate",)),
+    ("subdiagram", ("runs",)),
+    ("subdiagram", ("evaluate", "--trace", "t")),
+    ("subdiagram", ("simulate",)),
+    ("subdiagram", ("render", "--level", "overlay")),
+    ("subdiagram", ("render", "--level", "behavior")),
+    ("chronology", ("runs", "--chronology", "c")),
+    ("chronology", ("evaluate", "--chronology", "d", "--trace", "t")),
+    ("chronology", ("simulate", "--chronology", "c")),
+    ("chronology", ("render", "--level", "behavior")),
+]
+
+
+@pytest.mark.parametrize("name, argv", CHANGED, ids=lambda x: " ".join(x) if isinstance(x, tuple) else x)
+def test_a_document_that_breaks_a_phase_stops_every_command_that_needs_it(tmp_path, capsys, name, argv):
+    path = tmp_path / f"{name}.tm"
+    path.write_text(REPRODUCERS[name])
+    status, out, err = run_on(capsys, argv, path)
+    *diagnostics, last = err.splitlines()
+    assert (status, out, last) == (1, "", f"tmkit: {path}: invalid document")
+    assert [line.split(": ")[1] for line in diagnostics if line.startswith("error: ")] == CODES[name]
+
+
+def test_a_stop_prints_every_diagnostic_and_warning_once_in_report_order(tmp_path, capsys):
+    path = tmp_path / "event.tm"
+    path.write_text(REPRODUCERS["event"])
+    assert run_cli(capsys, "runs", str(path)) == (
+        1,
+        "",
+        "error: E-EVENT-UNRESOLVED: event 'E1' names unknown subdiagram 'ghost' [E1]\n"
+        "error: E-EVENT-WINDOW: event 'E2' window 5..1 is empty (start after end) [E2]\n"
+        "warning: W-STAGE-DANGLING: stage a.create has no arcs [a]\n"
+        f"tmkit: {path}: invalid document\n",
+    )
+
+
+def test_check_reports_every_chronology_that_does_not_build(tmp_path, capsys):
+    path = tmp_path / "chronology.tm"
+    path.write_text(REPRODUCERS["chronology"])
+    status, out, err = run_cli(capsys, "check", str(path))
+    assert status == 1
+    assert "error: E-CHRONOLOGY: cycle: A -> B -> A [c]" in err.splitlines()
+    assert "error: E-CHRONOLOGY: chronology 'd' references undeclared event 'C' [d]" in err.splitlines()
+    assert [d["elements"] for d in machine_block(out)["diagnostics"] if d["code"] == "E-CHRONOLOGY"] == [["c"], ["d"]]
+
+
+def test_a_command_that_passes_prints_no_warnings(capsys):
+    # single_create.tm has no arcs, so check warns of its dangling stage
+    status, out, err = run_cli(capsys, "check", fixture_path("single_create.tm"))
+    assert status == 0 and "W-STAGE-DANGLING" in err
+    assert run_cli(capsys, "runs", fixture_path("single_create.tm")) == (0, "[E1]\n", "1 run(s)\n")
+
+
+def test_the_phases_call_the_checks_the_module_holds_when_they_run(capsys, monkeypatch):
+    called = []
+    for name in ("parse", "validate_static", "check_subdiagram", "eventize", "build_chronology"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: called.append(name) or real(*a))
+    assert run_cli(capsys, "runs", fixture_path("bread.tm"))[0] == 0
+    assert called == ["parse", "validate_static", "check_subdiagram", "check_subdiagram", "eventize", "build_chronology"]

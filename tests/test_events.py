@@ -47,7 +47,7 @@ def test_whole_model_as_one_subdiagram_is_closed(airport):
     )
     assert check_subdiagram(airport.model, everything) == []
     report = coverage(airport.model, [everything])
-    assert report.total
+    assert not report.uncovered_stages and not report.uncovered_arcs
 
 
 def test_airport_coverage_is_total(airport):
@@ -95,7 +95,8 @@ def test_random_partitions_cover_totally():
             Subdiagram(f"p{i}", f"P{i}", tuple(sorted(p["stages"])), tuple(sorted(p["arcs"])))
             for i, p in enumerate(parts)
         ]
-        assert coverage(model, subs).total
+        report = coverage(model, subs)
+        assert not report.uncovered_stages and not report.uncovered_arcs
         # deleting one part uncovers exactly its exclusive elements
         victim = rng.randrange(k)
         rest = [s for i, s in enumerate(subs) if i != victim]
