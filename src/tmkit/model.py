@@ -26,14 +26,10 @@ class StageKind(Enum):
     ARRIVE = "arrive"
     ACCEPT = "accept"
 
+    __hash__ = object.__hash__  # members are singletons compared by identity; hash in C
+
     def __str__(self) -> str:
         return self.value
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, StageKind):
-            return NotImplemented
-        order = list(type(self))
-        return order.index(self) < order.index(other)
 
 
 STAGE_ORDER = tuple(StageKind)
@@ -57,6 +53,8 @@ class StageRef(NamedTuple):
 class ArcKind(Enum):
     FLOW = "flow"  # solid arrow: conceptual movement of a thing
     TRIGGER = "trigger"  # dashed arrow: causation between stages
+
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value

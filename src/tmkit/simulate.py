@@ -15,11 +15,12 @@ stopping is allowed once the fired events form a run.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
-from .behavior import Chronology, ExclusiveGroup, Trace, run_set_valid, search_runs, topological_order
+from . import behavior
+from .behavior import Chronology, ExclusiveGroup, Trace, search_runs, topological_order
 from .errors import Deadlock, IllegalAction, NotEnabled, PolicyError
 from .events import Event, Subdiagram
 from .model import Arc, ArcKind, StageKind, StageRef, StaticModel
@@ -40,8 +41,7 @@ RETIRED = Retired()
 Location = Union[StageRef, Retired]
 
 
-@dataclass(frozen=True)
-class ThingInstance:
+class ThingInstance(NamedTuple):
     id: str
     label: str
     location: Location
@@ -80,8 +80,7 @@ class Scripted(BranchPolicy):
         return self._by_group.get(group_name)
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """What firing a subdiagram does, each part in flow order."""
 
     creates: tuple[StageRef, ...]
@@ -162,12 +161,12 @@ def initial_state(model: StaticModel, subdiagrams: Sequence[Subdiagram], events:
 
 
 def _at(things: dict[str, ThingInstance], ref: StageRef) -> list[ThingInstance]:
-    return sorted((i for i in things.values() if i.location == ref), key=lambda i: i.id)
+    return sorted([i for i in things.values() if i.location == ref])  # ids are unique
 
 
 def _in_machine(things: dict[str, ThingInstance], thimac_id: str) -> list[ThingInstance]:
     members = (i for i in things.values() if isinstance(i.location, StageRef) and i.location.kind in MEMBER_STAGES)
-    return sorted((i for i in members if i.location.thimac == thimac_id), key=lambda i: i.id)
+    return sorted([i for i in members if i.location.thimac == thimac_id])
 
 
 def _spawn(model: StaticModel, things: dict[str, ThingInstance], thimac_id: str) -> None:
@@ -188,14 +187,14 @@ def _act(ctx: SimContext, things: dict[str, ThingInstance], inst: ThingInstance,
     if loc.kind is StageKind.RELEASE and kind is not StageKind.TRANSFER:
         raise IllegalAction(target, f"'{inst.id}' is released; it can only transfer out")
     if kind is StageKind.PROCESS:
-        things[inst.id] = replace(inst, location=target, tags=inst.tags + (f"processed@{target.thimac}",))
+        things[inst.id] = ThingInstance(inst.id, inst.label, target, inst.tags + (f"processed@{target.thimac}",))
     elif kind is StageKind.CREATE:
-        things[inst.id] = replace(inst, location=RETIRED)
+        things[inst.id] = ThingInstance(inst.id, inst.label, RETIRED, inst.tags)
         _spawn(ctx.model, things, target.thimac)
     elif kind is StageKind.TRANSFER and loc.thimac == target.thimac and target not in ctx.handoff_ports:
-        things[inst.id] = replace(inst, location=RETIRED)
+        things[inst.id] = ThingInstance(inst.id, inst.label, RETIRED, inst.tags)
     else:
-        things[inst.id] = replace(inst, location=target)
+        things[inst.id] = ThingInstance(inst.id, inst.label, target, inst.tags)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +291,11 @@ def fire_event(state: SimState, event_id: str) -> SimState:
 
     chron, step = ctx.chronology, _stamp(state, event_id)
     fired, out = state.fired | {event_id}, _ruled_out(state, event_id)
-    return replace(
-        state,
-        instances=tuple(sorted(things.values(), key=lambda i: i.id)),
-        log=state.log + ((event_id, step),),
+    return SimState(
+        ctx=ctx,
         step=step + 1,
+        instances=tuple(sorted(things.values())),
+        log=state.log + ((event_id, step),),
         fired=fired,
         out=out,
         frontier=(state.frontier | chron.successors(event_id)) - fired - out,
@@ -363,8 +362,9 @@ def simulate(
     rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
     while True:
         enabled = enabled_events(state)
-        # a run leaves no fired event unfinished, so only then is the set checked
-        done = not state.unfinished and run_set_valid(chronology, state.fired)
+        # a run leaves no fired event unfinished, so only then is the set checked;
+        # looked up when it runs, so a tracer that rebinds it sees this call
+        done = not state.unfinished and behavior.run_set_valid(chronology, state.fired)
         if not enabled and not done:
             raise _deadlock(state)
         event_id = _choose(enabled, done, state.ctx, policy, rng)

@@ -2,7 +2,7 @@ import random
 
 from tmkit import diagnostics as dg
 from tmkit.events import Event, Subdiagram, check_subdiagram, coverage, eventize
-from tmkit.model import StageKind, StageRef
+from tmkit.model import STAGE_ORDER, StageKind, StageRef
 
 from genutil import random_model
 
@@ -92,7 +92,12 @@ def test_random_partitions_cover_totally():
         for ref in refs:
             rng.choice(parts)["stages"].add(ref)
         subs = [
-            Subdiagram(f"p{i}", f"P{i}", tuple(sorted(p["stages"])), tuple(sorted(p["arcs"])))
+            Subdiagram(
+                f"p{i}",
+                f"P{i}",
+                tuple(sorted(p["stages"], key=lambda r: (r.thimac, STAGE_ORDER.index(r.kind)))),
+                tuple(sorted(p["arcs"])),
+            )
             for i, p in enumerate(parts)
         ]
         report = coverage(model, subs)

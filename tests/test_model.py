@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import replace
 
@@ -20,6 +22,26 @@ from tmkit.syntax import Document, parse_text, print_document
 
 from conftest import load
 from genutil import random_model
+
+
+# -- identity hashing of the kinds ---------------------------------------------
+
+
+def test_the_identity_hash_is_not_a_member():
+    assert len(StageKind) == 7 and len(ArcKind) == 2
+    assert [k.value for k in StageKind] == ["create", "process", "release", "transfer", "receive", "arrive", "accept"]
+
+
+@pytest.mark.parametrize("kind", [*StageKind, *ArcKind], ids=str)
+def test_a_kind_survives_pickle_and_deepcopy_with_its_hash(kind):
+    for again in (pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind)):
+        assert again is kind and hash(again) == hash(kind)
+
+
+def test_a_stage_ref_rebuilt_from_its_value_finds_its_entry():
+    index = {StageRef("t", k): k.value for k in StageKind}
+    for k in StageKind:
+        assert index[StageRef("t", StageKind(k.value))] == k.value
 
 
 def test_airport_thimac_inventory(airport):
