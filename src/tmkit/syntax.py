@@ -27,7 +27,7 @@ from itertools import accumulate, count
 from operator import itemgetter
 from typing import Callable, Optional, TypeVar
 
-from . import diagnostics as dg
+from . import diagnostics as dg, reader
 from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
 from .errors import DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
@@ -138,6 +138,16 @@ class _Spans(Mapping[str, dg.Span]):
         return len(self._spans)
 
 
+class _ParsedSpans(_Spans):
+    """The spans of a document the reader read, found by the token parser when first read."""
+
+    @cached_property
+    def _spans(self) -> dict[str, dg.Span]:
+        p = _Parser(self.src)
+        p.document()
+        return p.spans._spans
+
+
 def _tokenize(spans: _Spans) -> tuple[list[str], list[str], list[tuple[str, int]]]:
     """The token columns of the source of ``spans`` (kinds and texts), ending in
     one eof token, and its lexical errors as (message, offset) pairs. Only an
@@ -180,6 +190,24 @@ def _tokenize(spans: _Spans) -> tuple[list[str], list[str], list[tuple[str, int]
         i += 1
     errors.sort(key=itemgetter(1))
     return kinds, texts, errors
+
+
+def thimac_decl(name: str, label: str, words: list[str], children: list[ThimacDecl], things: list[str]) -> ThimacDecl:
+    """A thimac from its stage words, each a stage kind or 'memory', each once."""
+    stages = [_STAGE_WORDS[word] for word in words if word != "memory"]
+    return ThimacDecl(name, label, stages, children, things, "memory" in words)
+
+
+def chronology_decl(name: str, explicit: list[str], edges: list[tuple[str, str]], groups: list[tuple[Optional[str], frozenset[str]]],
+                    starts: Optional[list[str]], ends: Optional[list[str]]) -> ChronologyDecl:
+    """A chronology from its items, groups as (name or None, members). The unnamed groups are named
+    x1, x2, ..., skipping every explicit name; the events are all the items mention, sorted."""
+    taken = {g for g, _ in groups}
+    auto = (f"x{n}" for n in count(1) if f"x{n}" not in taken)
+    named = tuple(ExclusiveGroup(next(auto) if g is None else g, members) for g, members in groups)
+    decl = ChronologyDecl(name, tuple(explicit), tuple(edges), named, None if starts is None else tuple(starts),
+                          None if ends is None else tuple(ends))
+    return replace(decl, event_ids=tuple(sorted(decl.mentioned())))
 
 
 class _SyntaxError(Exception):
@@ -386,8 +414,7 @@ class _Parser:
             else:
                 raise self.unexpected("stages, things or thimac")
         self.expect("punct", "}")
-        stages = [_STAGE_WORDS[word] for word in words if word != "memory"]
-        return ThimacDecl(name, label, stages, children, things, "memory" in words)
+        return thimac_decl(name, label, words, children, things)
 
     def thing_label(self) -> str:
         return self.expect("string", what="thing label")
@@ -480,18 +507,8 @@ class _Parser:
             if self.texts[i] in seen:
                 self.report(f"chronology '{name}' names exclusive group '{self.texts[i]}' twice", i)
             seen.add(self.texts[i])
-        # the unnamed groups are named x1, x2, ..., skipping every explicit name
-        auto = (f"x{n}" for n in count(1) if f"x{n}" not in seen)
-
-        decl = ChronologyDecl(
-            id=name,
-            event_ids=tuple(explicit),
-            edges=tuple(edges),
-            groups=tuple(ExclusiveGroup(next(auto) if i is None else self.texts[i], members) for i, members in groups),
-            starts=tuple(starts) if starts is not None else None,
-            ends=tuple(ends) if ends is not None else None,
-        )
-        return replace(decl, event_ids=tuple(sorted(decl.mentioned())))
+        named = [(None if i is None else self.texts[i], members) for i, members in groups]
+        return chronology_decl(name, explicit, edges, named, starts, ends)
 
     def trace_section(self) -> Trace:
         name = self.declare("trace id")
@@ -508,7 +525,11 @@ class _Parser:
 
 
 def parse(source: SourceFile) -> ParseResult:
-    """Parse one document. Never raises on any input text."""
+    """Parse one document. Never raises on any input text. The token parser reads
+    every document ``reader.read`` declines; it alone reports diagnostics."""
+    doc = reader.read(source)
+    if doc is not None:
+        return ParseResult(doc, [])
     p = _Parser(source)
     doc = p.document()
     if dg.has_errors(p.diags):

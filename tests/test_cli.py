@@ -224,6 +224,46 @@ def test_check_rejects_deep_nesting(tmp_path, capsys):
     assert "nest more than" in err
 
 
+def edited_fixture(name, old, new):
+    text = Path(fixture_path(name)).read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    return text.replace(old, new)
+
+
+# Texts where a regular expression that gives back characters reads on past the
+# token parser's error: the text, and the diagnostics of check
+BACKTRACKING_TRAPS = {
+    # the arc would go on inside the comment, if a comment could end before its newline
+    "a comment in a declaration": (
+        lambda: edited_fixture("liar.tm", "-> lies.create;", "-> lies#.create;"),
+        ["16:3: error: E-SYNTAX: expected ., found 'flow'"],
+    ),
+    # the opening comment now ends in 'model spark {'
+    "a model header inside a comment": (
+        lambda: edited_fixture("single_create.tm", "meaningful model.\n\nmodel", "meaningful momodel"),
+        [
+            "2:3: error: E-SYNTAX: expected a section keyword (model, subdiagram, event, chronology, trace), found 'thimac'",
+            "19:1: error: E-SYNTAX: a document needs a model section",
+        ],
+    ),
+    # 'subwindow' is one identifier, not 'sub' and 'window'
+    "a keyword at the end of an identifier": (
+        lambda: 'model m {\n  thimac a "A" { stages: create; }\n}\nsubdiagram s "S" { stages: a.create; }\nevent E = subwindow 3..4\n',
+        ["5:21: error: E-SYNTAX: expected a section keyword (model, subdiagram, event, chronology, trace), found '3'"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BACKTRACKING_TRAPS))
+def test_check_reads_a_declaration_no_further_than_its_tokens_go(tmp_path, capsys, case):
+    text, diagnostics = BACKTRACKING_TRAPS[case]
+    path = tmp_path / "trap.tm"
+    path.write_text(text(), encoding="utf-8")
+    status, out, err = run_cli(capsys, "check", str(path))
+    assert (status, out) == (1, "")
+    assert err.splitlines() == [f"{path}:{d}" for d in diagnostics] + [f"tmkit: {path}: parse failed"]
+
+
 @pytest.mark.parametrize("command", ["runs", "simulate"])
 def test_a_document_without_chronologies_is_invalid_input(capsys, command):
     status, out, err = run_cli(capsys, command, fixture_path("empty.tm"))
