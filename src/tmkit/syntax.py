@@ -24,7 +24,6 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, count
-from operator import itemgetter
 from typing import Callable, Optional, TypeVar
 
 from . import diagnostics as dg, reader
@@ -83,36 +82,38 @@ class ParseResult:
 # Tokens
 
 # Every character that is neither blank nor in a comment starts exactly one
-# piece; a string is one piece. \d is str.isdecimal, exactly the digits int()
-# accepts. \w also admits numerals such as '²' or 'Ⅻ': a word that starts with
-# one is an error there. The empty piece at the end is the eof token.
-_PIECE = r"""( " (?: \\.? | [^"\\\n] )* "? | -> | \.\. | \d+ | \w+ | [^ \t\r\n] | \Z )"""
+# piece; a string is one piece, its closing quote group 2. \d is str.isdecimal,
+# exactly the digits int() accepts. \w also admits numerals such as '²' or 'Ⅻ':
+# a word that starts with one is an error there. The empty piece at the end is
+# the eof token.
+_PIECE = r"""( " (?: \\.? | [^"\\\n] )* (")? | -> | \.\. | \d+ | \w+ | [^ \t\r\n] | \Z )"""
 # blanks and whole comments; the empty branch keeps the gaps without a comment,
 # nearly all of them, out of the slower repeat of a group
 _SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*|)"
 # a token is a piece and the blanks and comments after it, so no search fails
 # and none is retried over trailing blanks; the first follows those at the start
 _TOKEN, _LEAD = re.compile(_PIECE + _SKIP, re.VERBOSE | re.DOTALL), re.compile(_SKIP)
-# token kind by first character; None for an error or non-ASCII
+# token kind by first character, or by the whole piece for '->'; a lone '-' has none
 _KIND = dict.fromkeys(string.ascii_letters + "_", "ident") | dict.fromkeys(string.digits, "int")
-_KIND |= dict.fromkeys("{}:;,.@=[]|-", "punct") | {'"': "string"}
+_KIND |= dict.fromkeys("{}:;,.@=[]|", "punct") | {'"': "string", "->": "punct"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _ESCAPES = {"n": "\n", "t": "\t"}
 
 
+def unescape(body: str) -> str:
+    """The text of a string between its quotes: \\n and \\t are a newline and a tab, and
+    a backslash before any other character stands for that character."""
+    return _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body) if "\\" in body else body
+
+
 class _Spans(Mapping[str, dg.Span]):
-    """Source positions, found when first read, as a clean parse reads none: each token's
-    start offset and, as a read-only mapping, the span of each id's first declaration."""
+    """The span of each id's first declaration, as a read-only mapping. A parser records
+    source offsets; each becomes a line and column only when read, so a clean parse
+    computes no position."""
 
     def __init__(self, src: SourceFile):
         self.src = src
-        self.first: dict[str, int] = {}  # token index of each id's first declaration
-
-    @cached_property
-    def starts(self) -> list[int]:
-        """The start offset of each token, the eof token's last."""
-        text = self.src.text
-        return [m.start() for m in _TOKEN.finditer(text, _LEAD.match(text).end())]
+        self.first: dict[str, int] = {}  # source offset of each id's first declaration
 
     @cached_property
     def newlines(self) -> list[int]:
@@ -124,72 +125,43 @@ class _Spans(Mapping[str, dg.Span]):
         line = bisect_left(self.newlines, pos)
         return dg.Span(self.src.path, line, pos - self.newlines[line - 1])
 
-    @cached_property
-    def _spans(self) -> dict[str, dg.Span]:
-        return {name: self.at(self.starts[i]) for name, i in self.first.items()}
-
     def __getitem__(self, name: str) -> dg.Span:
-        return self._spans[name]
+        return self.at(self.first[name])
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._spans)
+        return iter(self.first)
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self.first)
 
 
-class _ParsedSpans(_Spans):
-    """The spans of a document the reader read, found by the token parser when first read."""
-
-    @cached_property
-    def _spans(self) -> dict[str, dg.Span]:
-        p = _Parser(self.src)
-        p.document()
-        return p.spans._spans
-
-
-def _tokenize(spans: _Spans) -> tuple[list[str], list[str], list[tuple[str, int]]]:
-    """The token columns of the source of ``spans`` (kinds and texts), ending in
-    one eof token, and its lexical errors as (message, offset) pairs. Only an
-    error reads the token start offsets, and a rebuilt column replaces them."""
-    text = spans.src.text
-    texts = _TOKEN.findall(text, _LEAD.match(text).end())
-    kinds = [*map(_KIND.get, map(itemgetter(0), texts[:-1])), "eof"]
+def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[tuple[str, int]]]:
+    """The tokens of ``text`` as columns (kinds, texts and start offsets), ending in
+    one eof token, and its lexical errors as (message, offset) pairs."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
     errors: list[tuple[str, int]] = []
-    if None in set(kinds) or "-" in texts:
-        # rebuild the columns around the tokens the first character does not
-        # tell: a lone '-', other errors and non-ASCII starts
-        starts = spans.starts
-        columns, done = ([], [], []), 0
-        for i in [i for i, kind in enumerate(kinds) if kind is None or texts[i] == "-"]:
-            for column, old in zip(columns, (kinds, texts, starts)):
-                column += old[done:i]
-            done, todo = i + 1, [(texts[i], starts[i])]
-            while todo:  # a word piece goes on after a bad first character
-                piece, start = todo.pop()
-                c = piece[0]
-                kind = "ident" if c.isalpha() or c == "_" else "int" if c.isdecimal() else None
-                if kind is not None:
-                    for column, value in zip(columns, (kind, piece, start)):
-                        column.append(value)
-                else:
-                    errors.append((f"unexpected character {c!r}", start))
-                    todo += reversed([(m[1], m.start()) for m in _TOKEN.finditer(text, start + 1, start + len(piece))][:-1])
-        for column, old in zip(columns, (kinds, texts, starts)):
-            column += old[done:]
-        kinds, texts, spans.starts = columns
-    i = 0
-    for _ in range(kinds.count("string")):
-        i = kinds.index("string", i)
-        body = texts[i][1:]  # closed when a quote is left once the escapes are gone
-        if (_ESCAPE.sub("", body) if "\\" in body else body).endswith('"'):
-            body = body[:-1]
-        else:
-            errors.append(("unterminated string", spans.starts[i]))
-        texts[i] = _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body) if "\\" in body else body
-        i += 1
-    errors.sort(key=itemgetter(1))
-    return kinds, texts, errors
+    pos = _LEAD.match(text).end()
+    while piece := (m := _TOKEN.match(text, pos))[1]:
+        start, pos, c = m.start(), m.end(), piece[0]
+        kind = _KIND.get(c) or _KIND.get(piece) or ("ident" if c.isalpha() or c == "_" else "int" if c.isdecimal() else None)
+        if kind is None:
+            errors.append((f"unexpected character {c!r}", start))
+            if len(piece) > 1:  # a word goes on after a bad first character
+                pos = start + 1
+            continue
+        if kind == "string":
+            if m[2] is None:
+                errors.append(("unterminated string", start))
+            piece = unescape(piece[1:] if m[2] is None else piece[1:-1])
+        kinds.append(kind)
+        texts.append(piece)
+        starts.append(start)
+    kinds.append("eof")
+    texts.append("")
+    starts.append(pos)
+    return kinds, texts, starts, errors
 
 
 def thimac_decl(name: str, label: str, words: list[str], children: list[ThimacDecl], things: list[str]) -> ThimacDecl:
@@ -220,7 +192,7 @@ class _SyntaxError(Exception):
 class _Parser:
     def __init__(self, src: SourceFile):
         self.spans = _Spans(src)
-        self.kinds, self.texts, errors = _tokenize(self.spans)
+        self.kinds, self.texts, self.starts, errors = _tokenize(src.text)
         self.diags: list[dg.Diagnostic] = [dg.error(dg.SYNTAX, msg, span=self.spans.at(at)) for msg, at in errors]
         self.pos = 0  # token index
         self.declared: list[int] = []  # token index of every declaration's id
@@ -264,13 +236,13 @@ class _Parser:
         """Expect a declaration's id; an id's first declaration gives its span."""
         i = self.pos
         name = self.expect("ident", what=what)
-        self.spans.first.setdefault(name, i)
+        self.spans.first.setdefault(name, self.starts[i])
         self.declared.append(i)
         return name
 
     def report(self, message: str, at: int, code: str = dg.SYNTAX, elements: tuple[str, ...] = ()) -> None:
         """An error at token ``at``."""
-        self.diags.append(dg.error(code, message, elements, self.spans.at(self.spans.starts[at])))
+        self.diags.append(dg.error(code, message, elements, self.spans.at(self.starts[at])))
 
     def sync_to_section(self) -> None:
         # On error, skip ahead to the next plausible section start.

@@ -137,3 +137,16 @@ def tokenize_by_chars(path: str, text: str, diags: list) -> list[tuple[str, str,
 
     toks.append(("eof", "", line, col))
     return toks
+
+
+DECLARING = ("thimac", "flow", "trigger", "subdiagram", "event", "chronology", "trace")
+
+
+def first_declarations(text: str) -> dict[str, dg.Span]:
+    """The span in f.tm of the first declaration of each id, from the character loop's tokens."""
+    toks = tokenize_by_chars("f.tm", text, [])
+    first = {}
+    for (kind, word, _, _), (next_kind, name, line, col) in zip(toks, toks[1:]):
+        if kind == "ident" and word in DECLARING and next_kind == "ident":
+            first.setdefault(name, dg.Span("f.tm", line, col))
+    return first

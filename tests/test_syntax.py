@@ -12,7 +12,7 @@ from tmkit.syntax import MAX_NESTING, SourceFile, _Parser, parse, parse_text, pr
 
 from conftest import FIXTURES, LONG_INTEGERS, load
 from genutil import random_document
-from oracles import tokenize_by_chars
+from oracles import first_declarations, tokenize_by_chars
 from strategies import spliced_fixtures
 
 
@@ -186,6 +186,9 @@ def test_escaped_newline_in_a_string_ends_a_line():
     assert [str(d) for d in res.diagnostics] == [
         "s.tm:3:6: error: E-SYNTAX: expected stages, things or thimac, found 'junk'"
     ]
+    # the reader reads the document without the error, and places what follows the label
+    doc = parse_text('model m {\n  thimac a "A\\\nB" { }\n  thimac b "B" { }\n}', path="s.tm").document
+    assert doc.model.roots[0].label == "A\nB" and str(doc.spans["b"]) == "s.tm:4:10"
 
 
 @pytest.mark.parametrize(
@@ -291,6 +294,9 @@ GRAMMAR_ERRORS = {
     "subdiagram arcs: missing comma": (_SUBDIAGRAM % "arcs: f g;", ["2:28: error: E-SYNTAX: expected ;, found 'g'"]),
     "chronology events: empty": (_CHRONOLOGY % "events: ;", ["5:24: error: E-SYNTAX: expected event id, found ';'"]),
     "chronology events: trailing comma": (_CHRONOLOGY % "events: A,;", ["5:26: error: E-SYNTAX: expected event id, found ';'"]),
+    # a word may not start with a numeral that is not a decimal digit, which \w admits
+    "chronology events: an id after '²'": (_CHRONOLOGY % "events: ²A;", ["5:24: error: E-SYNTAX: unexpected character '²'"]),
+    "subdiagram arcs: an id after 'Ⅻ'": (_SUBDIAGRAM % "arcs: Ⅻf;", ["2:26: error: E-SYNTAX: unexpected character 'Ⅻ'"]),
     "chronology start: missing comma": (_CHRONOLOGY % "start: A B;", ["5:25: error: E-SYNTAX: expected ;, found 'B'"]),
     "chronology end: empty": (_CHRONOLOGY % "end: ;", ["5:21: error: E-SYNTAX: expected event id, found ';'"]),
     "chronology exclusive: trailing bar": (
@@ -356,7 +362,7 @@ def lexed(text):
     """(tokens, diagnostics) of the parser's tokenizer and of the character
     loop, tokens as (kind, text, line, col) and diagnostics as printed."""
     p = _Parser(SourceFile("f.tm", text))
-    spans = [p.spans.at(start) for start in p.spans.starts]
+    spans = [p.spans.at(start) for start in p.starts]
     got = ([(k, t, s.line, s.col) for k, t, s in zip(p.kinds, p.texts, spans, strict=True)], [str(d) for d in p.diags])
     diags = []
     want = (tokenize_by_chars("f.tm", text, diags), [str(d) for d in diags])
@@ -415,23 +421,14 @@ def test_cli_check_exits_1_on_spliced_fixtures_that_do_not_parse(tmp_path_factor
         assert status in (0, 1)
 
 
-DECLARING = ("thimac", "flow", "trigger", "subdiagram", "event", "chronology", "trace")
-
-
-def first_declarations(text):
-    """The span in f.tm of the first declaration of each id, from the oracle's tokens."""
-    toks = tokenize_by_chars("f.tm", text, [])
-    first = {}
-    for (kind, word, _, _), (next_kind, name, line, col) in zip(toks, toks[1:]):
-        if kind == "ident" and word in DECLARING and next_kind == "ident":
-            first.setdefault(name, dg.Span("f.tm", line, col))
-    return first
-
-
 def test_declaration_spans_point_at_the_first_declaration_of_their_ids():
     rng = random.Random(6)
     texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
     texts += [print_document(random_document(rng)) for _ in range(200)]
+    # ids declared by several kinds of declaration: a by each, first by a thimac, and s first by a subdiagram
+    texts.append('model m { thimac a "A" { stages: create, process; } flow a: a.create -> a.process; }\n'
+                 'subdiagram a "S" { stages: a.create; }\nsubdiagram s "S" { stages: a.create; }\nevent a = a\nevent s = s\n'
+                 'chronology a { events: a; }\nchronology s { events: s; }\ntrace a = [ a @ 0 ]\ntrace s = [ s @ 0 ]\n')
     for text in texts:
         doc = parse_text(text, path="f.tm").document
         assert doc.spans == first_declarations(text), text
@@ -439,10 +436,8 @@ def test_declaration_spans_point_at_the_first_declaration_of_their_ids():
 
 def test_a_clean_parse_computes_no_position_until_one_is_read():
     text = (FIXTURES / "airport.tm").read_text(encoding="utf-8")
-    p = _Parser(SourceFile("f.tm", text))
-    doc = p.document()
-    assert doc is not None and not p.diags
-    assert not {"starts", "newlines", "_spans"} & vars(p.spans).keys()
-    assert doc.spans is p.spans and doc.spans == first_declarations(text)
+    doc = parse_text(text, path="f.tm").document
+    assert "newlines" not in vars(doc.spans)
+    assert doc.spans == first_declarations(text) and "newlines" in vars(doc.spans)
     with pytest.raises(TypeError):
         doc.spans["E1"] = dg.Span()
