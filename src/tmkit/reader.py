@@ -16,12 +16,10 @@ from .events import Event, Subdiagram
 from .model import ArcDecl, ArcKind, Notation, StageKind, StageRef, ThimacDecl
 
 _KINDS = {k.value: k for k in StageKind}
-# A pattern's spaces stand for blanks and comments, the empty branch keeping the gaps without a
-# comment out of the slower repeat of a group. A comment runs to the end of its line, and keywords
-# and identifiers end at a word boundary, so no part gives back characters to the rest of a pattern
-# (Python 3.10 has no atomic groups). An integer needs no boundary: the token parser reads '5event'
-# as 5 and a word. A string's backslash escapes any character, a newline too.
-_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*|)"
+# A pattern's spaces stand for the token parser's blanks and comments. A comment runs to the end of
+# its line, and keywords and identifiers end at a word boundary, so no part gives back characters to
+# the rest of a pattern (Python 3.10 has no atomic groups). An integer needs no boundary: the token
+# parser reads '5event' as 5 and a word. A string's backslash escapes any character, a newline too.
 _PARTS = {
     "ID": r"[^\W\d]\w*\b",
     "INT": r"\d+",
@@ -32,7 +30,7 @@ _PARTS = {
 
 
 def _rx(pattern: str) -> re.Pattern[str]:
-    pattern = pattern.replace(" ", _SKIP)
+    pattern = pattern.replace(" ", syntax._SKIP)
     for name, part in _PARTS.items():
         pattern = pattern.replace(name, part)
     return re.compile(pattern)
@@ -57,7 +55,7 @@ _TRACE = _rx(r" trace\b (ID) = \[(?: (ID @ INT(?: , ID @ INT)*))? \]")
 _END = _rx(r" \Z")
 # the items of a list, once its comments are left out
 _WORDS, _STRINGS = re.compile(r"\w+"), _rx("STR")
-_REFS, _OCCURRENCES = re.compile(r"(\w+)[ \t\r\n]*\.[ \t\r\n]*(\w+)"), re.compile(r"(\w+)[ \t\r\n]*@[ \t\r\n]*(\d+)")
+_REFS, _OCCURRENCES = _rx(r"(\w+) \. (\w+)"), _rx(r"(\w+) @ (\d+)")
 # strings (group 1) and comments, and the first character of a word that is neither an ASCII letter, '_' nor a digit
 _LITERALS, _FIRSTS = _rx(r"(STR)|#[^\n]*"), re.compile(r"(?<!\w)[^\W\d_A-Za-z]")
 

@@ -26,7 +26,7 @@ from functools import cached_property
 from itertools import accumulate, count
 from typing import Callable, Optional, TypeVar
 
-from . import diagnostics as dg, reader
+from . import diagnostics as dg
 from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
 from .errors import DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
@@ -88,8 +88,9 @@ class ParseResult:
 # the eof token.
 _PIECE = r"""( " (?: \\.? | [^"\\\n] )* (")? | -> | \.\. | \d+ | \w+ | [^ \t\r\n] | \Z )"""
 # blanks and whole comments; the empty branch keeps the gaps without a comment,
-# nearly all of them, out of the slower repeat of a group
-_SKIP = r"[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*(?:\#[^\n]*[ \t\r\n]*)*|)"
+# nearly all of them, out of the slower repeat of a group. A comment runs to the
+# end of its line even where more of a pattern follows (the reader's patterns).
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*(?:\#[^\n]*(?![^\n])[ \t\r\n]*)*|)"
 # a token is a piece and the blanks and comments after it, so no search fails
 # and none is retried over trailing blanks; the first follows those at the start
 _TOKEN, _LEAD = re.compile(_PIECE + _SKIP, re.VERBOSE | re.DOTALL), re.compile(_SKIP)
@@ -494,6 +495,10 @@ class _Parser:
         event = self.event_id()
         self.expect("punct", "@")
         return (event, self.integer("timestamp"))
+
+
+# imported here, not at the top: the reader builds its patterns from _SKIP
+from . import reader  # noqa: E402
 
 
 def parse(source: SourceFile) -> ParseResult:
