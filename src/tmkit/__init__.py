@@ -20,7 +20,6 @@ from .dot import Level, RenderOptions, to_dot
 from .events import CoverageReport, Event, Subdiagram, check_subdiagram, coverage, eventize
 from .model import (
     Arc,
-    ArcDecl,
     ArcKind,
     IsoResult,
     Notation,
@@ -28,7 +27,6 @@ from .model import (
     StageRef,
     StaticModel,
     Thimac,
-    ThimacDecl,
     build_model,
     lookup,
     models_isomorphic,
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "ArcDecl",
     "ArcKind",
     "BranchPolicy",
     "Chronology",
@@ -66,7 +63,6 @@ __all__ = [
     "StaticModel",
     "Subdiagram",
     "Thimac",
-    "ThimacDecl",
     "Trace",
     "Verdict",
     "build_chronology",

@@ -23,10 +23,6 @@ class UnresolvedStageRef(TmkitError):
         self.element_id = arc_id
 
 
-class ContainmentCycle(TmkitError):
-    pass
-
-
 class SizeLimitExceeded(TmkitError):
     pass
 

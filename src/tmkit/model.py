@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import ContainmentCycle, DuplicateId, SizeLimitExceeded, UnresolvedStageRef
+from .errors import DuplicateId, SizeLimitExceeded, UnresolvedStageRef
 
 
 class StageKind(Enum):
@@ -140,74 +140,36 @@ def lookup(model: StaticModel, ref: StageRef) -> Optional[Thimac]:
 
 
 # ---------------------------------------------------------------------------
-# Construction from declarations
-
-
-@dataclass
-class ThimacDecl:
-    id: str
-    label: str = ""
-    stages: Iterable[StageKind] = ()
-    children: Iterable["ThimacDecl"] = ()
-    things: Iterable[str] = ()
-    memory: bool = False
-
-
-@dataclass
-class ArcDecl:
-    id: str
-    kind: ArcKind
-    src: tuple[str, StageKind]
-    dst: tuple[str, StageKind]
+# Construction
 
 
 def build_model(
     name: str,
-    thimacs: Iterable[ThimacDecl] = (),
-    arcs: Iterable[ArcDecl] = (),
+    thimacs: Iterable[Thimac] = (),
+    arcs: Iterable[Arc] = (),
     notation: Notation = Notation.FULL,
 ) -> StaticModel:
-    """Resolve declarations into a StaticModel.
+    """The StaticModel of these records, as given, once it checks them.
 
-    Raises DuplicateId, UnresolvedStageRef or ContainmentCycle on the first
-    resolution failure; the DSL front end maps these onto diagnostics.
+    Raises on the first failure: DuplicateId for a thimac id, in walk order;
+    then, arc by arc, DuplicateId for its id or UnresolvedStageRef for its src,
+    then its dst. The DSL front end maps these onto diagnostics.
     """
-    seen_objects: set[int] = set()
-    seen_ids: set[str] = set()
-
-    def freeze(decl: ThimacDecl) -> Thimac:
-        if id(decl) in seen_objects:
-            raise ContainmentCycle(f"thimac '{decl.id}' appears twice in the containment tree")
-        seen_objects.add(id(decl))
-        if decl.id in seen_ids:
-            raise DuplicateId("thimac", decl.id)
-        seen_ids.add(decl.id)
-        return Thimac(
-            id=decl.id,
-            label=decl.label,
-            stages=frozenset(decl.stages),
-            children=tuple(freeze(c) for c in decl.children),
-            things=tuple(decl.things),
-            memory=decl.memory,
-        )
-
-    roots = tuple(freeze(t) for t in thimacs)
-    model = StaticModel(name=name, roots=roots, arcs=(), notation=notation)
-
-    frozen_arcs = []
+    model = StaticModel(name, tuple(thimacs), tuple(arcs), notation)
+    thimac_ids: set[str] = set()
+    for t in model.walk():
+        if t.id in thimac_ids:
+            raise DuplicateId("thimac", t.id)
+        thimac_ids.add(t.id)
     arc_ids: set[str] = set()
-    for a in arcs:
+    for a in model.arcs:
         if a.id in arc_ids:
             raise DuplicateId("arc", a.id)
         arc_ids.add(a.id)
-        src = StageRef(*a.src)
-        dst = StageRef(*a.dst)
-        for ref in (src, dst):
+        for ref in (a.src, a.dst):
             if lookup(model, ref) is None:
                 raise UnresolvedStageRef(a.id, ref)
-        frozen_arcs.append(Arc(a.id, a.kind, src, dst))
-
-    return StaticModel(name=name, roots=roots, arcs=tuple(frozen_arcs), notation=notation)
+    return model
 
 
 # ---------------------------------------------------------------------------

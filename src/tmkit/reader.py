@@ -13,7 +13,7 @@ from . import syntax
 from .behavior import ChronologyDecl, Trace, check_trace_shape
 from .errors import DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
-from .model import ArcDecl, ArcKind, Notation, StageKind, StageRef, ThimacDecl
+from .model import Arc, ArcKind, Notation, StageKind, StageRef, Thimac
 
 _KINDS = {k.value: k for k in StageKind}
 # A pattern's spaces stand for the token parser's blanks and comments. A comment runs to the end of
@@ -145,13 +145,13 @@ def _chronology(m: re.Match[str], items: list[re.Match[str]]) -> ChronologyDecl:
     return syntax.chronology_decl(m[1], explicit, edges, groups, last.get(5), last.get(6))
 
 
-def _model(text: str, first: dict[str, int]) -> tuple[re.Match[str], list[ThimacDecl], list[ArcDecl], int]:
+def _model(text: str, first: dict[str, int]) -> tuple[re.Match[str], list[Thimac], list[Arc], int]:
     """The model section's header at the start of ``text``, its root thimacs and arcs, and the offset after it;
     ``first`` gains the offset of each thimac and arc id."""
     m = _next(_MODEL, text, 0)
     roots, arcs = [], []
     # the thimacs being read, outermost first: id, label, stage words, children, things
-    inside: list[tuple[str, str, list[str], list[ThimacDecl], list[str]]] = []
+    inside: list[tuple[str, str, list[str], list[Thimac], list[str]]] = []
     item = _next(_BODY, text, m.end())
     while (kind := item.lastindex) != _BODY.groups or inside:
         if kind == 4 and len(inside) < syntax.MAX_NESTING:
@@ -160,7 +160,7 @@ def _model(text: str, first: dict[str, int]) -> tuple[re.Match[str], list[Thimac
         elif kind == 10 and not inside:
             first.setdefault(item[6], item.start(6))
             arc_kind = ArcKind.FLOW if item[5] == "flow" else ArcKind.TRIGGER
-            arcs.append(ArcDecl(item[6], arc_kind, (item[7], _KINDS[item[8]]), (item[9], _KINDS[item[10]])))
+            arcs.append(Arc(item[6], arc_kind, StageRef(item[7], _KINDS[item[8]]), StageRef(item[9], _KINDS[item[10]])))
         elif kind == 1 and inside:
             inside[-1][2].extend(_items(_WORDS, item[1]))
             _unique(inside[-1][2])

@@ -31,14 +31,14 @@ from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
 from .errors import DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
 from .model import (
-    ArcDecl,
+    Arc,
     ArcKind,
     Notation,
     STAGE_ORDER,
     StageKind,
     StageRef,
     StaticModel,
-    ThimacDecl,
+    Thimac,
     build_model,
 )
 
@@ -165,10 +165,10 @@ def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[tuple[st
     return kinds, texts, starts, errors
 
 
-def thimac_decl(name: str, label: str, words: list[str], children: list[ThimacDecl], things: list[str]) -> ThimacDecl:
+def thimac_decl(name: str, label: str, words: list[str], children: list[Thimac], things: list[str]) -> Thimac:
     """A thimac from its stage words, each a stage kind or 'memory', each once."""
-    stages = [_STAGE_WORDS[word] for word in words if word != "memory"]
-    return ThimacDecl(name, label, stages, children, things, "memory" in words)
+    stages = frozenset([_STAGE_WORDS[word] for word in words if word != "memory"])
+    return Thimac(name, label, stages, tuple(children), tuple(things), "memory" in words)
 
 
 def chronology_decl(name: str, explicit: list[str], edges: list[tuple[str, str]], groups: list[tuple[Optional[str], frozenset[str]]],
@@ -336,8 +336,8 @@ class _Parser:
             self.advance()
             notation = Notation.SIMPLIFIED
         self.expect("punct", "{")
-        thimacs: list[ThimacDecl] = []
-        arcs: list[ArcDecl] = []
+        thimacs: list[Thimac] = []
+        arcs: list[Arc] = []
         while not self.at("punct", "}"):
             if self.at_keyword("thimac"):
                 thimacs.append(self.thimac_decl(1))
@@ -355,7 +355,7 @@ class _Parser:
             self.report(str(e), at[1] if isinstance(e, DuplicateId) else at[0])
             return None
 
-    def thimac_decl(self, depth: int) -> ThimacDecl:
+    def thimac_decl(self, depth: int) -> Thimac:
         self.expect("ident", "thimac")
         if depth > MAX_NESTING:
             raise _SyntaxError(f"thimacs nest more than {MAX_NESTING} deep", self.pos - 1)
@@ -364,7 +364,7 @@ class _Parser:
         self.expect("punct", "{")
         words: list[str] = []  # stage kinds and memory, each once
         things: list[str] = []
-        children: list[ThimacDecl] = []
+        children: list[Thimac] = []
 
         def stage_word() -> None:
             word = self.expect("ident", what="stage kind")
@@ -392,7 +392,7 @@ class _Parser:
     def thing_label(self) -> str:
         return self.expect("string", what="thing label")
 
-    def arc_decl(self) -> ArcDecl:
+    def arc_decl(self) -> Arc:
         kind = ArcKind.FLOW if self.advance() == "flow" else ArcKind.TRIGGER
         name = self.declare("arc id")
         self.expect("punct", ":")
@@ -400,15 +400,15 @@ class _Parser:
         self.expect("punct", "->")
         dst = self.stage_ref()
         self.expect("punct", ";")
-        return ArcDecl(name, kind, src, dst)
+        return Arc(name, kind, src, dst)
 
-    def stage_ref(self) -> tuple[str, StageKind]:
+    def stage_ref(self) -> StageRef:
         thimac = self.expect("ident", what="thimac id")
         self.expect("punct", ".")
         word = self.expect("ident", what="stage kind")
         if word not in _STAGE_WORDS:
             raise _SyntaxError(f"unknown stage kind {word!r}", self.pos - 1)
-        return (thimac, _STAGE_WORDS[word])
+        return StageRef(thimac, _STAGE_WORDS[word])
 
     def arc_id(self) -> str:
         return self.expect("ident", what="arc id")
@@ -421,7 +421,7 @@ class _Parser:
         arcs: list[str] = []
         while not self.at("punct", "}"):
             if self.at_keyword("stages"):
-                stages += [StageRef(*ref) for ref in self.clause(self.stage_ref)]
+                stages += self.clause(self.stage_ref)
             elif self.at_keyword("arcs"):
                 arcs += self.clause(self.arc_id)
             else:

@@ -7,13 +7,12 @@ import string
 from tmkit.behavior import ChronologyDecl, ExclusiveGroup, Trace
 from tmkit.events import Event, Subdiagram
 from tmkit.model import (
-    ArcDecl,
+    Arc,
     ArcKind,
     Notation,
     StageKind,
-    StageRef,
     StaticModel,
-    ThimacDecl,
+    Thimac,
     build_model,
 )
 from tmkit.syntax import Document
@@ -30,7 +29,7 @@ def fresh_id(rng: random.Random, taken: set[str], prefix: str = "n") -> str:
             return name
 
 
-def random_thimacs(rng: random.Random, taken: set[str], depth: int = 0) -> list[ThimacDecl]:
+def random_thimacs(rng: random.Random, taken: set[str], depth: int = 0) -> list[Thimac]:
     decls = []
     for _ in range(rng.randint(1, 3 if depth == 0 else 2)):
         n_kinds = rng.randint(0, 4)
@@ -41,11 +40,11 @@ def random_thimacs(rng: random.Random, taken: set[str], depth: int = 0) -> list[
             stages = sorted(set(stages) | {StageKind.ARRIVE, StageKind.ACCEPT}, key=list(StageKind).index)
         children = random_thimacs(rng, taken, depth + 1) if depth < 2 and rng.random() < 0.4 else []
         decls.append(
-            ThimacDecl(
+            Thimac(
                 id=fresh_id(rng, taken, "t"),
                 label=rng.choice(NAUGHTY_LABELS),
-                stages=stages,
-                children=children,
+                stages=frozenset(stages),
+                children=tuple(children),
                 things=tuple(rng.choice(NAUGHTY_LABELS) for _ in range(rng.randint(0, 2))),
                 memory=rng.random() < 0.15,
             )
@@ -65,14 +64,7 @@ def random_model(rng: random.Random, notation: Notation = Notation.FULL) -> Stat
             src, dst = rng.choice(refs), rng.choice(refs)
             if src == dst:
                 continue
-            arcs.append(
-                ArcDecl(
-                    fresh_id(rng, taken, "a"),
-                    rng.choice([ArcKind.FLOW, ArcKind.TRIGGER]),
-                    (src.thimac, src.kind),
-                    (dst.thimac, dst.kind),
-                )
-            )
+            arcs.append(Arc(fresh_id(rng, taken, "a"), rng.choice([ArcKind.FLOW, ArcKind.TRIGGER]), src, dst))
     return build_model(model.name, thimacs, arcs, notation)
 
 
@@ -150,7 +142,7 @@ def random_simplified_model(rng: random.Random) -> StaticModel:
         kinds = {rng.choice([StageKind.CREATE, StageKind.PROCESS])}
         if rng.random() < 0.4:
             kinds.add(rng.choice([StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE]))
-        thimacs.append(ThimacDecl(fresh_id(rng, taken, "t"), "m", sorted(kinds, key=list(StageKind).index)))
+        thimacs.append(Thimac(fresh_id(rng, taken, "t"), "m", frozenset(kinds)))
 
     skeleton = build_model("m", thimacs, (), Notation.SIMPLIFIED)
     refs = skeleton.stage_refs()
@@ -168,16 +160,16 @@ def random_simplified_model(rng: random.Random) -> StaticModel:
             if (src.kind, dst.kind) not in INTRA_FLOWS or dst.kind is StageKind.CREATE:
                 continue
         seen_pairs.add((src, dst))
-        arcs.append(ArcDecl(fresh_id(rng, taken, "f"), ArcKind.FLOW, tuple(src), tuple(dst)))
+        arcs.append(Arc(fresh_id(rng, taken, "f"), ArcKind.FLOW, src, dst))
 
     # park every untouched stage on a trigger so the model validates cleanly
-    touched = {r for a in arcs for r in (StageRef(*a.src), StageRef(*a.dst))}
+    touched = {r for a in arcs for r in (a.src, a.dst)}
     for ref in refs:
         if ref not in touched:
             other = next((r for r in refs if r != ref), None)
             if other is None:
                 break
-            arcs.append(ArcDecl(fresh_id(rng, taken, "g"), ArcKind.TRIGGER, tuple(ref), tuple(other)))
+            arcs.append(Arc(fresh_id(rng, taken, "g"), ArcKind.TRIGGER, ref, other))
 
     return build_model("m", thimacs, arcs, Notation.SIMPLIFIED)
 

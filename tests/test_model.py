@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.errors import ContainmentCycle, DuplicateId, SizeLimitExceeded, UnresolvedStageRef
+from tmkit.errors import DuplicateId, SizeLimitExceeded, UnresolvedStageRef
 from tmkit.model import (
-    ArcDecl,
+    Arc,
     ArcKind,
     StageKind,
     StageRef,
-    ThimacDecl,
+    StaticModel,
+    Thimac,
     build_model,
     lookup,
     models_isomorphic,
@@ -69,23 +70,76 @@ def test_build_empty_model():
 
 
 def test_unresolved_stage_ref_names_the_missing_id():
-    decls = [ThimacDecl("a", "A", [StageKind.CREATE])]
-    arcs = [ArcDecl("f", ArcKind.FLOW, ("a", StageKind.CREATE), ("ghost", StageKind.PROCESS))]
+    decls = [Thimac("a", "A", frozenset({StageKind.CREATE}))]
+    arcs = [Arc("f", ArcKind.FLOW, StageRef("a", StageKind.CREATE), StageRef("ghost", StageKind.PROCESS))]
     with pytest.raises(UnresolvedStageRef, match="ghost"):
         build_model("m", decls, arcs)
 
 
 def test_duplicate_thimac_id_rejected():
-    decls = [ThimacDecl("a", "", [StageKind.CREATE]), ThimacDecl("a", "", [])]
+    decls = [Thimac("a", "", frozenset({StageKind.CREATE})), Thimac("a", "", frozenset())]
     with pytest.raises(DuplicateId):
         build_model("m", decls)
 
 
-def test_containment_cycle_detected():
-    shared = ThimacDecl("inner", "", [])
-    outer = ThimacDecl("outer", "", [], children=[shared, shared])
-    with pytest.raises(ContainmentCycle):
+def test_a_child_placed_twice_is_a_duplicate_thimac():
+    shared = Thimac("inner", "", frozenset())
+    outer = Thimac("outer", "", frozenset(), children=(shared, shared))
+    with pytest.raises(DuplicateId) as err:
         build_model("m", [outer])
+    assert (err.value.kind, err.value.element_id) == ("thimac", "inner")
+
+
+def test_build_model_keeps_the_records_it_is_given():
+    inner = Thimac("b", "B", frozenset({StageKind.PROCESS}))
+    roots = [Thimac("a", "A", frozenset({StageKind.CREATE}), children=(inner,))]
+    arcs = [Arc("f", ArcKind.FLOW, StageRef("a", StageKind.CREATE), StageRef("b", StageKind.PROCESS))]
+    model = build_model("m", roots, arcs)
+    assert len(model.roots) == len(roots) and all(got is given for got, given in zip(model.roots, roots))
+    assert len(model.arcs) == len(arcs) and all(got is given for got, given in zip(model.arcs, arcs))
+    assert model.roots[0].children[0] is inner
+
+
+C, P, FLOW = StageKind.CREATE, StageKind.PROCESS, ArcKind.FLOW
+A_C, A_P, B_C = StageRef("a", C), StageRef("a", P), StageRef("b", C)
+_A, _B = Thimac("a", "A", frozenset({C, P})), Thimac("b", "B", frozenset({C}))
+_NESTED_A = Thimac("n", "N", frozenset(), children=(Thimac("a", "A2", frozenset()),))
+# roots, arcs, and the first error as build_model raises it and as parse_text places it
+# in the text print_document gives for the records
+FIRST_ERRORS = {
+    "a duplicate nested thimac wins over a later duplicate arc": (
+        [_A, _NESTED_A],
+        [Arc("f", FLOW, A_C, A_P), Arc("f", FLOW, A_C, A_P)],
+        (DuplicateId, "duplicate thimac id 'a'", 6, 12),
+    ),
+    "a duplicate arc id wins over a later unresolved arc": (
+        [_A, _B],
+        [Arc("f", FLOW, A_C, A_P), Arc("f", FLOW, B_C, A_P), Arc("g", FLOW, A_C, StageRef("ghost", P))],
+        (DuplicateId, "duplicate arc id 'f'", 9, 8),
+    ),
+    "src is checked before dst": (
+        [_A],
+        [Arc("g", FLOW, StageRef("ghost", C), StageRef("phantom", P))],
+        (UnresolvedStageRef, "arc 'g' references unknown stage ghost.create", 5, 8),
+    ),
+    "an unresolved arc comes before a later duplicate of its id": (
+        [_A],
+        [Arc("f", FLOW, A_C, A_P), Arc("g", FLOW, A_C, StageRef("ghost", P)), Arc("g", FLOW, A_C, A_P)],
+        (UnresolvedStageRef, "arc 'g' references unknown stage ghost.process", 6, 8),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIRST_ERRORS))
+def test_build_model_and_the_parser_report_the_same_first_error(case):
+    roots, arcs, (error, message, line, col) = FIRST_ERRORS[case]
+    with pytest.raises(error) as err:
+        build_model("m", roots, arcs)
+    assert str(err.value) == message
+    text = print_document(Document(StaticModel("m", tuple(roots), tuple(arcs))))
+    res = parse_text(text, path="m.tm")
+    assert res.document is None
+    assert [str(d) for d in res.diagnostics] == [f"m.tm:{line}:{col}: error: E-SYNTAX: {message}"]
 
 
 def test_lookup(airport):
@@ -104,7 +158,7 @@ def test_build_model_resolution_properties(ids, data):
     decls = []
     for i in ids:
         kinds = data.draw(st.sets(st.sampled_from(list(StageKind))))
-        decls.append(ThimacDecl(i, label=i, stages=sorted(kinds, key=list(StageKind).index)))
+        decls.append(Thimac(i, label=i, stages=frozenset(kinds)))
     model = build_model("m", decls)
     seen = [t.id for t in model.walk()]
     assert len(seen) == len(set(seen))
@@ -188,14 +242,14 @@ def test_single_create_model_validates_and_round_trips():
 
 
 def test_stage_sets_differ_means_not_isomorphic():
-    a = build_model("a", [ThimacDecl("x", "", [StageKind.CREATE])])
-    b = build_model("b", [ThimacDecl("y", "", [StageKind.PROCESS])])
+    a = build_model("a", [Thimac("x", "", frozenset({StageKind.CREATE}))])
+    b = build_model("b", [Thimac("y", "", frozenset({StageKind.PROCESS}))])
     assert not models_isomorphic(a, b).isomorphic
 
 
 def test_iso_respects_arc_kinds():
-    base = [ThimacDecl("x", "", [StageKind.CREATE, StageKind.PROCESS])]
-    flow = build_model("a", base, [ArcDecl("f", ArcKind.FLOW, ("x", StageKind.CREATE), ("x", StageKind.PROCESS))])
-    trig = build_model("b", base, [ArcDecl("f", ArcKind.TRIGGER, ("x", StageKind.CREATE), ("x", StageKind.PROCESS))])
+    base = [Thimac("x", "", frozenset({StageKind.CREATE, StageKind.PROCESS}))]
+    flow = build_model("a", base, [Arc("f", ArcKind.FLOW, StageRef("x", StageKind.CREATE), StageRef("x", StageKind.PROCESS))])
+    trig = build_model("b", base, [Arc("f", ArcKind.TRIGGER, StageRef("x", StageKind.CREATE), StageRef("x", StageKind.PROCESS))])
     assert not models_isomorphic(flow, trig).isomorphic
     assert models_isomorphic(flow, flow).isomorphic

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tmkit.behavior import ChronologyDecl, ExclusiveGroup, build_chronology, enumerate_runs, evaluate_trace, run_set_valid
 from tmkit.errors import Deadlock, IllegalAction, NotEnabled, PolicyError, TmkitError
 from tmkit.events import Event, Subdiagram
-from tmkit.model import STAGE_ORDER, ArcDecl, ArcKind, StageKind, StageRef, ThimacDecl, build_model
+from tmkit.model import Arc, ArcKind, StageKind, StageRef, Thimac, build_model
 from tmkit.simulate import (
     RETIRED,
     Scripted,
@@ -34,16 +34,16 @@ def airport_sim(airport, airport_chronology):
 
 def courier_model():
     decls = [
-        ThimacDecl("a", "A", [C, P, R, T], things=["parcel"]),
-        ThimacDecl("b", "B", [T, V, P]),
+        Thimac("a", "A", frozenset({C, P, R, T}), things=("parcel",)),
+        Thimac("b", "B", frozenset({T, V, P})),
     ]
     arcs = [
-        ArcDecl("f1", ArcKind.FLOW, ("a", C), ("a", P)),
-        ArcDecl("f2", ArcKind.FLOW, ("a", P), ("a", R)),
-        ArcDecl("f3", ArcKind.FLOW, ("a", R), ("a", T)),
-        ArcDecl("f4", ArcKind.FLOW, ("a", T), ("b", T)),
-        ArcDecl("f5", ArcKind.FLOW, ("b", T), ("b", V)),
-        ArcDecl("f6", ArcKind.FLOW, ("b", V), ("b", P)),
+        Arc("f1", ArcKind.FLOW, StageRef("a", C), StageRef("a", P)),
+        Arc("f2", ArcKind.FLOW, StageRef("a", P), StageRef("a", R)),
+        Arc("f3", ArcKind.FLOW, StageRef("a", R), StageRef("a", T)),
+        Arc("f4", ArcKind.FLOW, StageRef("a", T), StageRef("b", T)),
+        Arc("f5", ArcKind.FLOW, StageRef("b", T), StageRef("b", V)),
+        Arc("f6", ArcKind.FLOW, StageRef("b", V), StageRef("b", P)),
     ]
     return build_model("courier", decls, arcs)
 
@@ -85,10 +85,10 @@ def test_transfer_carries_a_released_thing_across():
 def test_released_thing_cannot_be_processed_again():
     model = build_model(
         "loop",
-        [ThimacDecl("a", "A", [C, P, R], things=["x"])],
+        [Thimac("a", "A", frozenset({C, P, R}), things=("x",))],
         [
-            ArcDecl("f1", ArcKind.FLOW, ("a", C), ("a", R)),
-            ArcDecl("f2", ArcKind.FLOW, ("a", R), ("a", P)),
+            Arc("f1", ArcKind.FLOW, StageRef("a", C), StageRef("a", R)),
+            Arc("f2", ArcKind.FLOW, StageRef("a", R), StageRef("a", P)),
         ],
     )
     subs = [
@@ -107,10 +107,10 @@ def test_released_thing_cannot_be_processed_again():
 def test_transfer_without_peer_retires():
     model = build_model(
         "exit",
-        [ThimacDecl("a", "A", [C, P, R, T], things=["x"])],
+        [Thimac("a", "A", frozenset({C, P, R, T}), things=("x",))],
         [
-            ArcDecl("f1", ArcKind.FLOW, ("a", C), ("a", R)),
-            ArcDecl("f2", ArcKind.FLOW, ("a", R), ("a", T)),
+            Arc("f1", ArcKind.FLOW, StageRef("a", C), StageRef("a", R)),
+            Arc("f2", ArcKind.FLOW, StageRef("a", R), StageRef("a", T)),
         ],
     )
     subs = [
@@ -150,30 +150,7 @@ def test_fire_out_of_order_is_not_enabled(airport, airport_chronology):
 
 def test_luggage_event_starves_without_the_luggage_flow(airport, airport_chronology):
     # delete the flow that carries luggage into the counter and re-run
-    model = build_model(
-        "broken",
-        [
-            ThimacDecl(t.id, t.label, sorted(t.stages, key=STAGE_ORDER.index), [], t.things, t.memory)
-            for t in airport.model.roots
-            if not t.children
-        ]
-        + [
-            ThimacDecl(
-                t.id,
-                t.label,
-                sorted(t.stages, key=STAGE_ORDER.index),
-                [
-                    ThimacDecl(c.id, c.label, sorted(c.stages, key=STAGE_ORDER.index), [], c.things, c.memory)
-                    for c in t.children
-                ],
-                t.things,
-                t.memory,
-            )
-            for t in airport.model.roots
-            if t.children
-        ],
-        [ArcDecl(a.id, a.kind, tuple(a.src), tuple(a.dst)) for a in airport.model.arcs if a.id != "f11"],
-    )
+    model = build_model("broken", airport.model.roots, [a for a in airport.model.arcs if a.id != "f11"])
     subs = [
         Subdiagram(s.id, s.label, s.stages, tuple(a for a in s.arcs if a != "f11"))
         for s in airport.subdiagrams
@@ -318,7 +295,7 @@ def test_create_only_model_generates_only_creations():
 
 
 def test_closed_window_deadlocks():
-    model = build_model("m", [ThimacDecl("a", "A", [C], things=["x"])])
+    model = build_model("m", [Thimac("a", "A", frozenset({C}), things=("x",))])
     subs = [Subdiagram("s", "S", (StageRef("a", C),))]
     events = [Event("E1", "s", window=(5, 5)), Event("E2", "s", window=(0, 1))]
     chron = build_chronology(events, ChronologyDecl("c", edges=(("E1", "E2"),)))
@@ -367,7 +344,7 @@ def test_seeded_may_stop_at_a_run_that_a_longer_run_extends():
 
 
 def test_window_fast_forwards_the_clock():
-    model = build_model("m", [ThimacDecl("a", "A", [C], things=["x"])])
+    model = build_model("m", [Thimac("a", "A", frozenset({C}), things=("x",))])
     subs = [Subdiagram("s", "S", (StageRef("a", C),))]
     events = [Event("E1", "s", window=(3, 9)), Event("E2", "s")]
     chron = build_chronology(events, ChronologyDecl("c", edges=(("E1", "E2"),)))
@@ -388,7 +365,7 @@ def test_enabled_respects_exclusion(airport, airport_chronology):
 
 def any_event_fires():
     """A model and the one subdiagram ``s``, which can fire any number of times."""
-    model = build_model("m", [ThimacDecl("a", "A", [C], things=["x"])])
+    model = build_model("m", [Thimac("a", "A", frozenset({C}), things=("x",))])
     return model, [Subdiagram("s", "S", (StageRef("a", C),))]
 
 

@@ -5,11 +5,12 @@ import pytest
 from tmkit import diagnostics as dg
 from tmkit.errors import NotSimplified
 from tmkit.model import (
-    ArcDecl,
+    Arc,
     ArcKind,
     Notation,
     StageKind,
-    ThimacDecl,
+    StageRef,
+    Thimac,
     build_model,
     models_isomorphic,
 )
@@ -23,11 +24,11 @@ C, P, R, T, V = StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE, StageKin
 
 def two_machines(notation, *arcs):
     decls = [
-        ThimacDecl("a", "A", [C, P, R, T, V]),
-        ThimacDecl("b", "B", [C, P, R, T, V]),
+        Thimac("a", "A", frozenset({C, P, R, T, V})),
+        Thimac("b", "B", frozenset({C, P, R, T, V})),
     ]
-    arc_decls = [ArcDecl(f"f{i}", kind, src, dst) for i, (kind, src, dst) in enumerate(arcs)]
-    return build_model("m", decls, arc_decls, notation)
+    arcs = [Arc(f"f{i}", kind, StageRef(*src), StageRef(*dst)) for i, (kind, src, dst) in enumerate(arcs)]
+    return build_model("m", decls, arcs, notation)
 
 
 def codes(diags):
@@ -72,30 +73,30 @@ def test_self_trigger_warns():
 
 
 def test_dangling_stage_warns():
-    m = build_model("m", [ThimacDecl("a", "A", [C])])
+    m = build_model("m", [Thimac("a", "A", frozenset({C}))])
     diags = validate_static(m)
     assert codes(diags) == [dg.STAGE_DANGLING]
 
 
 def test_arrive_without_accept_is_a_mode_error():
-    m = build_model("m", [ThimacDecl("a", "A", [StageKind.ARRIVE, P])])
+    m = build_model("m", [Thimac("a", "A", frozenset({StageKind.ARRIVE, P}))])
     assert dg.MODE in codes(validate_static(m))
-    both_plus_receive = build_model("m", [ThimacDecl("a", "A", [StageKind.ARRIVE, StageKind.ACCEPT, V])])
+    both_plus_receive = build_model("m", [Thimac("a", "A", frozenset({StageKind.ARRIVE, StageKind.ACCEPT, V}))])
     assert dg.MODE in codes(validate_static(both_plus_receive))
 
 
 def test_arrive_accept_machine_is_reachable():
     decls = [
-        ThimacDecl("a", "A", [C, R, T]),
-        ThimacDecl("b", "B", [T, StageKind.ARRIVE, StageKind.ACCEPT, P]),
+        Thimac("a", "A", frozenset({C, R, T})),
+        Thimac("b", "B", frozenset({T, StageKind.ARRIVE, StageKind.ACCEPT, P})),
     ]
     arcs = [
-        ArcDecl("f1", ArcKind.FLOW, ("a", C), ("a", R)),
-        ArcDecl("f2", ArcKind.FLOW, ("a", R), ("a", T)),
-        ArcDecl("f3", ArcKind.FLOW, ("a", T), ("b", T)),
-        ArcDecl("f4", ArcKind.FLOW, ("b", T), ("b", StageKind.ARRIVE)),
-        ArcDecl("f5", ArcKind.FLOW, ("b", StageKind.ARRIVE), ("b", StageKind.ACCEPT)),
-        ArcDecl("f6", ArcKind.FLOW, ("b", StageKind.ACCEPT), ("b", P)),
+        Arc("f1", ArcKind.FLOW, StageRef("a", C), StageRef("a", R)),
+        Arc("f2", ArcKind.FLOW, StageRef("a", R), StageRef("a", T)),
+        Arc("f3", ArcKind.FLOW, StageRef("a", T), StageRef("b", T)),
+        Arc("f4", ArcKind.FLOW, StageRef("b", T), StageRef("b", StageKind.ARRIVE)),
+        Arc("f5", ArcKind.FLOW, StageRef("b", StageKind.ARRIVE), StageRef("b", StageKind.ACCEPT)),
+        Arc("f6", ArcKind.FLOW, StageRef("b", StageKind.ACCEPT), StageRef("b", P)),
     ]
     assert validate_static(build_model("m", decls, arcs)) == []
 
@@ -136,8 +137,8 @@ def test_desugar_green_cheese_inserts_the_move_chain():
 
 
 def test_desugar_without_cross_flows_only_flips_the_mode():
-    decls = [ThimacDecl("a", "A", [C, P])]
-    arcs = [ArcDecl("f", ArcKind.FLOW, ("a", C), ("a", P))]
+    decls = [Thimac("a", "A", frozenset({C, P}))]
+    arcs = [Arc("f", ArcKind.FLOW, StageRef("a", C), StageRef("a", P))]
     m = build_model("m", decls, arcs, Notation.SIMPLIFIED)
     full = desugar(m)
     assert full.notation is Notation.FULL
