@@ -28,7 +28,6 @@ from .model import (
     StaticModel,
     Thimac,
     build_model,
-    lookup,
     models_isomorphic,
 )
 from .simulate import BranchPolicy, Scripted, Seeded, fire_event, initial_state, simulate
@@ -75,7 +74,6 @@ __all__ = [
     "eventize",
     "fire_event",
     "initial_state",
-    "lookup",
     "models_isomorphic",
     "parse",
     "parse_text",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
 
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
@@ -106,9 +107,16 @@ class Chronology:
         by position, their predecessors, rivals and sorted successors, and whether each is a start and an end."""
         order, _ = topological_order(sorted(self.events), self.edges, str)
         at = {e: i for i, e in enumerate(order)}
-        preds = [[at[p] for p in self.predecessors(e)] for e in order]
-        rivals = [[at[r] for r in self.rivals.get(e, ())] for e in order]
-        succs = [sorted(at[s] for s in self.successors(e)) for e in order]
+        preds: list[list[int]] = [[] for _ in order]
+        succs: list[list[int]] = [[] for _ in order]
+        for u, v in self.edges:
+            preds[at[v]].append(at[u])
+            succs[at[u]].append(at[v])
+        for succ in succs:
+            succ.sort()
+        rivals: list[list[int]] = [[] for _ in order]
+        for e, others in self.rivals.items():
+            rivals[at[e]] = [at[r] for r in others]
         return order, preds, rivals, succs, [e in self.starts for e in order], [e in self.ends for e in order]
 
     def closable(self, without: AbstractSet[str] = frozenset()) -> frozenset[str]:
@@ -429,7 +437,10 @@ def search_runs(
     if not forced_in <= closable:
         return  # a forced-in event is ruled out or has no path to an end
     order, preds, rivals, all_succs, startable, endable = chronology._search_index
-    succs = [[s for s in succ if order[s] in closable] for succ in all_succs]
+    if len(closable) == len(order):  # nothing to filter out
+        succs = all_succs
+    else:
+        succs = [[s for s in succ if order[s] in closable] for succ in all_succs]
     # (p, p's other successors in succs) for each unfinished p whose last one this is
     last_chance: list[list[tuple[int, list[int]]]] = [[] for _ in order]
     for p, succ in enumerate(succs):
@@ -442,15 +453,17 @@ def search_runs(
         """Whether no rival of order[j] is among the included order[:i]."""
         return not rivals[j] or not any(taken[r] for r in rivals[j] if r < i)
 
+    was_taken = taken.__getitem__
+
     def choices(i: int) -> list[tuple[int, bool]]:
         out = []
         if order[i] not in forced_in and not any(
-            taken[p] and not any(taken[s] for s in others) for p, others in last_chance[i]
+            taken[p] and not any(map(was_taken, others)) for p, others in last_chance[i]
         ):
             out.append((i, False))
         if (
             order[i] not in forced_out
-            and (startable[i] or any(taken[p] for p in preds[i]))
+            and (startable[i] or any(map(was_taken, preds[i])))
             and free(i, i)
             and (endable[i] or any(free(s, i) for s in succs[i]))
         ):
@@ -472,7 +485,7 @@ def search_runs(
         if i + 1 < len(order):
             stack.extend(choices(i + 1))
             continue
-        occurred = frozenset(e for e, t in zip(order, taken) if t)
+        occurred = frozenset(compress(order, taken))
         if occurred and run_set_valid(chronology, occurred):
             yield occurred
 

@@ -35,10 +35,8 @@ def _esc(s: str) -> str:
 
 
 def _known_ids(doc: Document) -> set[str]:
-    ids: set[str] = set()
-    for t in doc.model.walk():
-        ids.add(t.id)
-        ids.update(str(StageRef(t.id, k)) for k in t.stages)
+    ids = {t.id for t in doc.model.walk()}
+    ids.update(map(str, doc.model.stages))
     ids.update(a.id for a in doc.model.arcs)
     ids.update(s.id for s in doc.subdiagrams)
     ids.update(e.id for e in doc.events)
@@ -49,9 +47,10 @@ def _known_ids(doc: Document) -> set[str]:
 
 def to_dot(doc: Document, options: RenderOptions = RenderOptions()) -> str:
     """Emit DOT text for the requested level; stable bytes for stable input."""
-    unknown = sorted(options.highlight - _known_ids(doc))
-    if unknown:
-        raise UnknownHighlightId(f"cannot highlight unknown id(s): {', '.join(unknown)}")
+    if options.highlight:
+        unknown = sorted(options.highlight - _known_ids(doc))
+        if unknown:
+            raise UnknownHighlightId(f"cannot highlight unknown id(s): {', '.join(unknown)}")
     if options.level is Level.BEHAVIOR:
         return _behavior_dot(doc, options)
     return _static_dot(doc, options, overlay=options.level is Level.OVERLAY)

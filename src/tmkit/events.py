@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import diagnostics as dg
-from .model import ArcKind, StageRef, StaticModel, lookup
+from .model import ArcKind, StageRef, StaticModel
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def check_subdiagram(model: StaticModel, sub: Subdiagram) -> list[dg.Diagnostic]
     diags: list[dg.Diagnostic] = []
     stage_set = set(sub.stages)
     for ref in sub.stages:
-        if lookup(model, ref) is None:
+        if ref not in model.stages:
             diags.append(dg.error(dg.SUB_UNRESOLVED, f"stage {ref} is not in the model", (sub.id, str(ref))))
     for arc_id in sub.arcs:
         arc = model.arc(arc_id)
@@ -71,7 +71,7 @@ def coverage(model: StaticModel, subs: Sequence[Subdiagram]) -> CoverageReport:
     Coverage is advisory: a partial decomposition is legal, the report just
     makes the gaps visible.
     """
-    stage_counts = {ref: 0 for ref in model.stage_refs()}
+    stage_counts = dict.fromkeys(model.stages, 0)
     arc_counts = {a.id: 0 for a in model.arcs}
     for sub in subs:
         for ref in set(sub.stages):

@@ -111,14 +111,15 @@ class StaticModel:
     def arc(self, arc_id: str) -> Optional[Arc]:
         return self._arc_by_id.get(arc_id)
 
-    def stage_refs(self) -> list[StageRef]:
-        """Every declared stage, in tree order."""
-        return [StageRef(t.id, k) for t in self.walk() for k in STAGE_ORDER if k in t.stages]
-
     def element_count(self) -> int:
         return sum(1 for _ in self.walk()) + len(self.arcs)
 
     # Lazy indices; the model is frozen so they are computed once.
+    @cached_property
+    def stages(self) -> dict[StageRef, Thimac]:
+        """Every declared stage, in tree order, with the thimac that holds it."""
+        return {StageRef(t.id, k): t for t in self.walk() for k in STAGE_ORDER if k in t.stages}
+
     @cached_property
     def _by_id(self) -> dict[str, Thimac]:
         return {t.id: t for t in self.walk()}
@@ -126,17 +127,6 @@ class StaticModel:
     @cached_property
     def _arc_by_id(self) -> dict[str, Arc]:
         return {a.id: a for a in self.arcs}
-
-
-def lookup(model: StaticModel, ref: StageRef) -> Optional[Thimac]:
-    """Resolve a stage reference; returns the owning thimac, or None.
-
-    Total: an absent thimac or an undeclared stage both report not-found.
-    """
-    t = model.thimac(ref.thimac)
-    if t is None or ref.kind not in t.stages:
-        return None
-    return t
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +152,13 @@ def build_model(
             raise DuplicateId("thimac", t.id)
         thimac_ids.add(t.id)
     arc_ids: set[str] = set()
+    stages = model.stages
     for a in model.arcs:
         if a.id in arc_ids:
             raise DuplicateId("arc", a.id)
         arc_ids.add(a.id)
         for ref in (a.src, a.dst):
-            if lookup(model, ref) is None:
+            if ref not in stages:
                 raise UnresolvedStageRef(a.id, ref)
     return model
 

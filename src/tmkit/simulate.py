@@ -91,19 +91,23 @@ class _Plan(NamedTuple):
 
 def _plan(sub: Subdiagram, model: StaticModel) -> _Plan:
     """Rank the stages in flow order (ties, and stages on a flow cycle, keep
-    declaration order) and lay out the subdiagram's actions by that rank."""
-    arcs = [model.arc(aid) for aid in sub.arcs]
-    flows = [a for a in arcs if a.kind is ArcKind.FLOW]
-    index = {ref: i for i, ref in enumerate(sub.stages)}
-    order, leftover = topological_order(index, ((a.src, a.dst) for a in flows), index.__getitem__)
+    declaration order) and lay out the subdiagram's actions by that rank.
+    A stage or arc listed twice acts once."""
+    flows: list[Arc] = []
+    triggers: list[Arc] = []
+    for aid in dict.fromkeys(sub.arcs):
+        a = model.arc(aid)
+        (flows if a.kind is ArcKind.FLOW else triggers).append(a)
+    index = {ref: i for i, ref in enumerate(dict.fromkeys(sub.stages))}
+    order, leftover = topological_order(index, [(a.src, a.dst) for a in flows], index.__getitem__)
     rank = {ref: i for i, ref in enumerate(order + leftover)}
-    stages = sorted(sub.stages, key=rank.__getitem__)
-    flows.sort(key=lambda a: (rank.get(a.src, len(rank)), rank.get(a.dst, len(rank)), a.id))
+    last = len(rank)  # the rank of a flow's end outside the subdiagram
+    ranked = sorted([(rank.get(a.src, last), rank.get(a.dst, last), a.id, a) for a in flows])
     return _Plan(
-        creates=tuple(r for r in stages if r.kind is StageKind.CREATE),
-        flows=tuple(flows),
-        processes=tuple(r for r in stages if r.kind is StageKind.PROCESS),
-        triggers=tuple(a.dst for a in sorted(arcs, key=lambda a: a.id) if a.kind is ArcKind.TRIGGER),
+        creates=tuple([r for r in rank if r.kind is StageKind.CREATE]),
+        flows=tuple([a for *_, a in ranked]),
+        processes=tuple([r for r in rank if r.kind is StageKind.PROCESS]),
+        triggers=tuple([a.dst for a in sorted(triggers, key=lambda a: a.id)]),
     )
 
 
@@ -157,44 +161,41 @@ def initial_state(model: StaticModel, subdiagrams: Sequence[Subdiagram], events:
 
 
 # ---------------------------------------------------------------------------
-# Thing instances, in a mutable copy that one firing works on
+# Thing instances, as mutable [id, label, location, tags] records that one
+# firing works on, indexed by location
 
 
-def _at(things: dict[str, ThingInstance], ref: StageRef) -> list[ThingInstance]:
-    return sorted([i for i in things.values() if i.location == ref])  # ids are unique
-
-
-def _in_machine(things: dict[str, ThingInstance], thimac_id: str) -> list[ThingInstance]:
-    members = (i for i in things.values() if isinstance(i.location, StageRef) and i.location.kind in MEMBER_STAGES)
-    return sorted([i for i in members if i.location.thimac == thimac_id])
-
-
-def _spawn(model: StaticModel, things: dict[str, ThingInstance], thimac_id: str) -> None:
+def _spawn(model: StaticModel, things: dict[str, list], at: dict[Location, list[list]], thimac_id: str) -> None:
     t = model.thimac(thimac_id)
     for label in t.things or (t.id,):
         if label not in things:  # one instance per created label per run
-            things[label] = ThingInstance(id=label, label=label, location=StageRef(thimac_id, StageKind.CREATE))
+            things[label] = thing = [label, label, StageRef(thimac_id, StageKind.CREATE), ()]
+            at.setdefault(thing[2], []).append(thing)
 
 
-def _act(ctx: SimContext, things: dict[str, ThingInstance], inst: ThingInstance, target: StageRef) -> None:
-    """Apply the generic action at ``target`` to one instance standing at a stage.
+def _act(ctx: SimContext, things: dict[str, list], at: dict[Location, list[list]], movers: list[list], target: StageRef) -> None:
+    """Apply the generic action at ``target`` to things the caller has taken
+    out of ``at``: all at one stage, or all members of the target's machine.
 
     A released thing can only transfer out. A thing its own machine moves to
     a transfer stage with no onward flow leaves the system; an elided flow
     into a creation absorbs the thing into whatever that machine creates.
     """
-    loc, kind = inst.location, target.kind
+    movers.sort()  # by id, which is unique
+    loc, kind = movers[0][2], target.kind
     if loc.kind is StageKind.RELEASE and kind is not StageKind.TRANSFER:
-        raise IllegalAction(target, f"'{inst.id}' is released; it can only transfer out")
-    if kind is StageKind.PROCESS:
-        things[inst.id] = ThingInstance(inst.id, inst.label, target, inst.tags + (f"processed@{target.thimac}",))
-    elif kind is StageKind.CREATE:
-        things[inst.id] = ThingInstance(inst.id, inst.label, RETIRED, inst.tags)
-        _spawn(ctx.model, things, target.thimac)
-    elif kind is StageKind.TRANSFER and loc.thimac == target.thimac and target not in ctx.handoff_ports:
-        things[inst.id] = ThingInstance(inst.id, inst.label, RETIRED, inst.tags)
-    else:
-        things[inst.id] = ThingInstance(inst.id, inst.label, target, inst.tags)
+        raise IllegalAction(target, f"'{movers[0][0]}' is released; it can only transfer out")
+    retires = kind is StageKind.CREATE or (
+        kind is StageKind.TRANSFER and loc.thimac == target.thimac and target not in ctx.handoff_ports
+    )
+    to = RETIRED if retires else target
+    for thing in movers:
+        thing[2] = to
+        if kind is StageKind.PROCESS:
+            thing[3] += (f"processed@{target.thimac}",)
+    at.setdefault(to, []).extend(movers)
+    if kind is StageKind.CREATE:
+        _spawn(ctx.model, things, at, target.thimac)
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +256,20 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     if witness is None:
         raise NotEnabled(f"event '{event_id}' is not enabled")
     plan = ctx.plans[ctx.event_by_id[event_id].subdiagram]
-    things = {i.id: i for i in state.instances}
+    things = {i.id: list(i) for i in state.instances}
+    at: dict[Location, list[list]] = {}
+    for thing in things.values():
+        at.setdefault(thing[2], []).append(thing)
 
     for ref in plan.creates:
-        _spawn(ctx.model, things, ref.thimac)
+        _spawn(ctx.model, things, at, ref.thimac)
 
     visited: set[StageRef] = set()
     moved_from: set[StageRef] = set()
     for arc in plan.flows:
-        for inst in _at(things, arc.src):
-            _act(ctx, things, inst, arc.dst)
+        movers = at.pop(arc.src, None)
+        if movers:
+            _act(ctx, things, at, movers, arc.dst)
             visited.add(arc.dst)
             moved_from.add(arc.src)
 
@@ -279,22 +284,21 @@ def fire_event(state: SimState, event_id: str) -> SimState:
             continue
         if ref in moved_from:
             continue
-        present = _in_machine(things, ref.thimac)
+        present = [thing for kind in MEMBER_STAGES for thing in at.pop(StageRef(ref.thimac, kind), ())]
         if not present:
             raise IllegalAction(ref, f"event '{event_id}' has nothing to process")
-        for inst in present:
-            _act(ctx, things, inst, ref)
+        _act(ctx, things, at, present, ref)
 
     for ref in plan.triggers:
         if ref.kind is StageKind.CREATE:
-            _spawn(ctx.model, things, ref.thimac)
+            _spawn(ctx.model, things, at, ref.thimac)
 
     chron, step = ctx.chronology, _stamp(state, event_id)
     fired, out = state.fired | {event_id}, _ruled_out(state, event_id)
     return SimState(
         ctx=ctx,
         step=step + 1,
-        instances=tuple(sorted(things.values())),
+        instances=tuple(map(ThingInstance._make, sorted(things.values()))),
         log=state.log + ((event_id, step),),
         fired=fired,
         out=out,

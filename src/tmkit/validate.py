@@ -94,9 +94,8 @@ def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
         if arrive_accept and (arrive_accept != {A, X} or V in t.stages):
             message = f"thimac '{t.id}' must declare arrive and accept together, replacing receive"
             diags.append(dg.error(dg.MODE, message, (t.id,)))
-        for ref in (StageRef(t.id, kind) for kind in t.stages):
-            if ref not in touched:
-                diags.append(dg.warning(dg.STAGE_DANGLING, f"stage {ref} has no arcs", (t.id,)))
+    for ref in model.stages.keys() - touched:
+        diags.append(dg.warning(dg.STAGE_DANGLING, f"stage {ref} has no arcs", (ref.thimac,)))
 
     return dg.sort_diagnostics(diags)
 

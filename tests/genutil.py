@@ -57,7 +57,7 @@ def random_model(rng: random.Random, notation: Notation = Notation.FULL) -> Stat
     taken: set[str] = set()
     thimacs = random_thimacs(rng, taken)
     model = build_model(fresh_id(rng, taken, "m"), thimacs, (), notation)
-    refs = model.stage_refs()
+    refs = list(model.stages)
     arcs = []
     if refs:
         for _ in range(rng.randint(0, 2 * len(refs))):
@@ -70,7 +70,7 @@ def random_model(rng: random.Random, notation: Notation = Notation.FULL) -> Stat
 
 def random_document(rng: random.Random) -> Document:
     model = random_model(rng)
-    refs = model.stage_refs()
+    refs = list(model.stages)
     arc_ids = [a.id for a in model.arcs]
     taken = {t.id for t in model.walk()} | set(arc_ids) | {model.name}
 
@@ -145,7 +145,7 @@ def random_simplified_model(rng: random.Random) -> StaticModel:
         thimacs.append(Thimac(fresh_id(rng, taken, "t"), "m", frozenset(kinds)))
 
     skeleton = build_model("m", thimacs, (), Notation.SIMPLIFIED)
-    refs = skeleton.stage_refs()
+    refs = list(skeleton.stages)
     arcs = []
     seen_pairs = set()
     for _ in range(rng.randint(1, 8)):

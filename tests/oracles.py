@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from tmkit import diagnostics as dg
 from tmkit.behavior import Chronology, canonical_order, run_set_valid
-from tmkit.errors import BoundExceeded
+from tmkit.errors import BoundExceeded, IllegalAction
+from tmkit.model import StageKind, StageRef, StaticModel
+from tmkit.simulate import MEMBER_STAGES, RETIRED, ThingInstance
 
 # Exact enumeration is exponential in the event count; chronologies are
 # desk-scale by design.
@@ -59,6 +61,86 @@ def enabled_events_by_runs(state, runs: list[frozenset[str]]) -> list[str]:
         if any(done <= r and not any(v in done and u in r - done for u, v in chron.edges) for r in runs):
             out.append(e)
     return out
+
+
+def _at(things: dict[str, ThingInstance], ref: StageRef) -> list[ThingInstance]:
+    return sorted([i for i in things.values() if i.location == ref])  # ids are unique
+
+
+def _in_machine(things: dict[str, ThingInstance], thimac_id: str) -> list[ThingInstance]:
+    members = (i for i in things.values() if isinstance(i.location, StageRef) and i.location.kind in MEMBER_STAGES)
+    return sorted([i for i in members if i.location.thimac == thimac_id])
+
+
+def _spawn(model: StaticModel, things: dict[str, ThingInstance], thimac_id: str) -> None:
+    t = model.thimac(thimac_id)
+    for label in t.things or (t.id,):
+        if label not in things:  # one instance per created label per run
+            things[label] = ThingInstance(id=label, label=label, location=StageRef(thimac_id, StageKind.CREATE))
+
+
+def _act(ctx, things: dict[str, ThingInstance], inst: ThingInstance, target: StageRef) -> None:
+    """Apply the generic action at ``target`` to one instance standing at a stage.
+
+    A released thing can only transfer out. A thing its own machine moves to
+    a transfer stage with no onward flow leaves the system; an elided flow
+    into a creation absorbs the thing into whatever that machine creates.
+    """
+    loc, kind = inst.location, target.kind
+    if loc.kind is StageKind.RELEASE and kind is not StageKind.TRANSFER:
+        raise IllegalAction(target, f"'{inst.id}' is released; it can only transfer out")
+    if kind is StageKind.PROCESS:
+        things[inst.id] = ThingInstance(inst.id, inst.label, target, inst.tags + (f"processed@{target.thimac}",))
+    elif kind is StageKind.CREATE:
+        things[inst.id] = ThingInstance(inst.id, inst.label, RETIRED, inst.tags)
+        _spawn(ctx.model, things, target.thimac)
+    elif kind is StageKind.TRANSFER and loc.thimac == target.thimac and target not in ctx.handoff_ports:
+        things[inst.id] = ThingInstance(inst.id, inst.label, RETIRED, inst.tags)
+    else:
+        things[inst.id] = ThingInstance(inst.id, inst.label, target, inst.tags)
+
+
+def instances_after_moves(state, event_id: str) -> tuple[ThingInstance, ...]:
+    """The thing instances once an enabled event of a simulation state fires;
+    raises the IllegalAction its firing raises.
+
+    The per-move firing that ``tmkit.simulate.fire_event`` replaced, which
+    builds a new ThingInstance for every move and scans every instance for
+    each flow, kept as its differential oracle. It follows the same plan.
+    """
+    ctx = state.ctx
+    plan = ctx.plans[ctx.event_by_id[event_id].subdiagram]
+    things = {i.id: i for i in state.instances}
+
+    for ref in plan.creates:
+        _spawn(ctx.model, things, ref.thimac)
+
+    visited: set[StageRef] = set()
+    moved_from: set[StageRef] = set()
+    for arc in plan.flows:
+        for inst in _at(things, arc.src):
+            _act(ctx, things, inst, arc.dst)
+            visited.add(arc.dst)
+            moved_from.add(arc.src)
+
+    fed = {a.dst for a in plan.flows}
+    for ref in plan.processes:
+        if ref in fed:
+            if ref not in visited:
+                raise IllegalAction(ref, f"event '{event_id}' has nothing to process")
+            continue
+        if ref in moved_from:
+            continue
+        present = _in_machine(things, ref.thimac)
+        if not present:
+            raise IllegalAction(ref, f"event '{event_id}' has nothing to process")
+        for inst in present:
+            _act(ctx, things, inst, ref)
+
+    for ref in plan.triggers:
+        if ref.kind is StageKind.CREATE:
+            _spawn(ctx.model, things, ref.thimac)
+    return tuple(sorted(things.values()))
 
 
 def tokenize_by_chars(path: str, text: str, diags: list) -> list[tuple[str, str, int, int]]:

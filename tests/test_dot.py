@@ -29,7 +29,7 @@ def test_static_dot_draws_clusters_and_arc_styles(airport):
     for t in airport.model.walk():
         assert f'subgraph "cluster_{t.id}"' in text
     nodes, edges = read_nodes_and_edges(text)
-    assert nodes == {str(r) for r in airport.model.stage_refs()}
+    assert nodes == {str(r) for r in airport.model.stages}
     assert text.count("style=dashed") == 2  # the two ticket triggers
     assert text.count("style=solid") == len(airport.model.arcs) - 2
 
@@ -64,7 +64,7 @@ def test_render_is_deterministic(airport):
 
 def test_every_element_rendered_exactly_once(airport):
     text = to_dot(airport, RenderOptions(level=Level.STATIC))
-    for ref in airport.model.stage_refs():
+    for ref in airport.model.stages:
         assert len(re.findall(rf'^\s*"{re.escape(str(ref))}" \[', text, re.M)) == 1
     for a in airport.model.arcs:
         src, dst = str(a.src), str(a.dst)
@@ -75,5 +75,13 @@ def test_every_element_rendered_exactly_once(airport):
 def test_unknown_highlight_id(airport):
     with pytest.raises(UnknownHighlightId):
         to_dot(airport, RenderOptions(highlight=frozenset({"nonsense"})))
-    ok = to_dot(airport, RenderOptions(highlight=frozenset({"counter", "f8"})))
+    with pytest.raises(UnknownHighlightId):
+        to_dot(airport, RenderOptions(highlight=frozenset({"counter.arrive"})))  # a stage counter does not declare
+    ok = to_dot(airport, RenderOptions(highlight=frozenset({"counter", "counter.process", "f8"})))
     assert "color=red" in ok
+
+
+def test_no_ids_are_gathered_when_nothing_is_highlighted(airport, monkeypatch):
+    monkeypatch.setattr("tmkit.dot._known_ids", lambda doc: pytest.fail("gathered the ids of a render with no highlight"))
+    for level in Level:
+        to_dot(airport, RenderOptions(level=level))

@@ -42,7 +42,7 @@ def test_whole_model_as_one_subdiagram_is_closed(airport):
     everything = Subdiagram(
         "all",
         "EVERYTHING",
-        stages=tuple(airport.model.stage_refs()),
+        stages=tuple(airport.model.stages),
         arcs=tuple(a.id for a in airport.model.arcs),
     )
     assert check_subdiagram(airport.model, everything) == []
@@ -71,7 +71,7 @@ def test_dropping_one_part_uncovers_exactly_its_exclusive_elements(airport):
 
 def test_empty_subdiagram_list_leaves_everything_uncovered(airport):
     report = coverage(airport.model, [])
-    assert set(report.uncovered_stages) == set(airport.model.stage_refs())
+    assert set(report.uncovered_stages) == set(airport.model.stages)
     assert set(report.uncovered_arcs) == {a.id for a in airport.model.arcs}
 
 
@@ -79,7 +79,7 @@ def test_random_partitions_cover_totally():
     rng = random.Random(5)
     for _ in range(25):
         model = random_model(rng)
-        refs = model.stage_refs()
+        refs = list(model.stages)
         arcs = list(model.arcs)
         if not refs:
             continue

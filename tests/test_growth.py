@@ -10,8 +10,11 @@ complexity", 2007).
 The counter is a ``sys.setprofile`` hook that counts ``call`` and ``c_call``
 events. A C call counts as one, so work inside a regular expression, a sort or
 a set operation is invisible to it, and so is an ``in`` test on a list of
-strings, which makes no call at all. The counts differ between Python versions
-(3.12 inlines comprehensions); the slopes should not.
+strings, which makes no call at all. So is work that copies or concatenates:
+each firing of ``simulate`` copies the fired set and the log, and the chain's
+one item gains a tag per hop, so the firings copy O(N) items each and the
+simulation's time grows faster than its counted calls. The counts differ
+between Python versions (3.12 inlines comprehensions); the slopes should not.
 """
 import math
 import random
@@ -21,7 +24,10 @@ from pathlib import Path
 
 import pytest
 
+from tmkit.behavior import build_chronology
+from tmkit.events import check_subdiagram, coverage
 from tmkit.model import build_model
+from tmkit.simulate import Seeded, simulate
 from tmkit.syntax import Document, SourceFile, parse, print_document
 from tmkit.validate import validate_static
 
@@ -70,12 +76,25 @@ def _build_model(src: SourceFile, doc: Document) -> int:
     return count_calls(build_model, m.name, m.roots, m.arcs, m.notation)
 
 
+def _check_subdiagrams(src: SourceFile, doc: Document) -> int:
+    return count_calls(lambda: [check_subdiagram(doc.model, sub) for sub in doc.subdiagrams])
+
+
+def _simulate(src: SourceFile, doc: Document) -> int:
+    chron = build_chronology(doc.events, doc.chronologies[0])
+    return count_calls(simulate, doc.model, doc.subdiagrams, doc.events, chron, Seeded(0))
+
+
 # the calls each layer makes on one chain document
 LAYERS = {
     "syntax.parse": lambda src, doc: count_calls(parse, src),
     "model.build_model": _build_model,
     "validate.validate_static": lambda src, doc: count_calls(validate_static, doc.model),
     "syntax.print_document": lambda src, doc: count_calls(print_document, doc),
+    "events.check_subdiagram": _check_subdiagrams,
+    "events.coverage": lambda src, doc: count_calls(coverage, doc.model, doc.subdiagrams),
+    "behavior.build_chronology": lambda src, doc: count_calls(build_chronology, doc.events, doc.chronologies[0]),
+    "simulate.simulate": _simulate,
 }
 
 

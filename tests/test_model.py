@@ -16,7 +16,6 @@ from tmkit.model import (
     StaticModel,
     Thimac,
     build_model,
-    lookup,
     models_isomorphic,
 )
 from tmkit.syntax import Document, parse_text, print_document
@@ -142,11 +141,11 @@ def test_build_model_and_the_parser_report_the_same_first_error(case):
     assert [str(d) for d in res.diagnostics] == [f"m.tm:{line}:{col}: error: E-SYNTAX: {message}"]
 
 
-def test_lookup(airport):
-    assert lookup(airport.model, StageRef("counter", StageKind.PROCESS)) is not None
-    assert lookup(airport.model, StageRef("counter", StageKind.ARRIVE)) is None
-    empty = build_model("empty")
-    assert lookup(empty, StageRef("counter", StageKind.PROCESS)) is None
+def test_stages_index(airport):
+    counter = airport.model.thimac("counter")
+    assert airport.model.stages[StageRef("counter", StageKind.PROCESS)] is counter
+    assert StageRef("counter", StageKind.ARRIVE) not in airport.model.stages
+    assert build_model("empty").stages == {}
 
 
 _ids = st.lists(st.from_regex(r"[a-z][a-z0-9_]{0,6}", fullmatch=True), min_size=1, max_size=8, unique=True)
@@ -162,8 +161,8 @@ def test_build_model_resolution_properties(ids, data):
     model = build_model("m", decls)
     seen = [t.id for t in model.walk()]
     assert len(seen) == len(set(seen))
-    for ref in model.stage_refs():
-        assert lookup(model, ref) is not None
+    # every declared stage, in tree order, with the thimac that holds it
+    assert list(model.stages.items()) == [(StageRef(t.id, k), t) for t in decls for k in StageKind if k in t.stages]
 
 
 # -- isomorphism --------------------------------------------------------------

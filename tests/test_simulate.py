@@ -20,9 +20,9 @@ from tmkit.simulate import (
     simulate,
 )
 
-from conftest import load
+from conftest import FIXTURES, load
 from genutil import random_chronology, random_document
-from oracles import enabled_events_by_runs, enumerate_runs_by_subsets
+from oracles import enabled_events_by_runs, enumerate_runs_by_subsets, instances_after_moves
 from strategies import declared_chronologies
 
 C, P, R, T, V = StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE, StageKind.TRANSFER, StageKind.RECEIVE
@@ -125,6 +125,16 @@ def test_transfer_without_peer_retires():
         fire_event(state, "E2")
     assert err.value.stage == StageRef("a", P)
     assert "nothing to process" in str(err.value)
+
+
+def test_a_stage_listed_twice_acts_once():
+    # a subdiagram is a set of stages and arcs, whatever its text repeats
+    model = build_model("twice", [Thimac("a", "A", frozenset({C, P}), things=("x",))])
+    subs = [Subdiagram("c", "MADE", (StageRef("a", C),)), Subdiagram("s", "WORKED", (StageRef("a", P), StageRef("a", P)))]
+    events = [Event("E1", "c"), Event("E2", "s")]
+    chron = build_chronology(events, ChronologyDecl("c", edges=(("E1", "E2"),)))
+    state = fire_event(fire_event(initial_state(model, subs, events, chron), "E1"), "E2")
+    assert instance(state, "x").tags == ("processed@a",)
 
 
 # -- fire_event ---------------------------------------------------------------
@@ -275,6 +285,38 @@ def test_simulated_traces_of_random_documents_evaluate_true():
                 simulated += 1
                 assert evaluate_trace(chron, trace).truth, (doc_no, decl.id, seed, trace)
     assert simulated > 100
+
+
+def test_firing_moves_things_as_the_per_move_oracle_does():
+    """After every firing of seeded walks over random documents, the instances
+    are the oracle's, and a firing raises IllegalAction just when the oracle
+    does, with the same message."""
+    rng = random.Random(13)
+    docs = [load(f.name) for f in sorted(FIXTURES.glob("*.tm"))] + [random_document(rng) for _ in range(1000)]
+    fired = illegal = 0
+    for doc_no, doc in enumerate(docs):
+        for decl in doc.chronologies:
+            try:
+                chron = build_chronology(doc.events, decl)
+            except TmkitError:
+                continue
+            for seed in range(3):
+                walk = random.Random(seed)
+                state = initial_state(doc.model, doc.subdiagrams, doc.events, chron)
+                while enabled := enabled_events(state):
+                    event_id = walk.choice(enabled)
+                    try:
+                        expected = instances_after_moves(state, event_id)
+                    except IllegalAction as err:
+                        with pytest.raises(IllegalAction) as got:
+                            fire_event(state, event_id)
+                        assert (got.value.stage, str(got.value)) == (err.stage, str(err)), (doc_no, seed)
+                        illegal += 1
+                        break
+                    state = fire_event(state, event_id)
+                    assert state.instances == expected, (doc_no, decl.id, seed, state.log)
+                    fired += 1
+    assert fired > 1000 and illegal > 200, (fired, illegal)
 
 
 def test_instances_hold_exactly_one_location(airport, airport_chronology):
