@@ -53,9 +53,6 @@ _CHRONOLOGY_ITEM = _rx(
 )
 _TRACE = _rx(r" trace\b (ID) = \[(?: (ID @ INT(?: , ID @ INT)*))? \]")
 _END = _rx(r" \Z")
-# the items of a list, once its comments are left out
-_WORDS, _STRINGS = re.compile(r"\w+"), _rx("STR")
-_REFS, _OCCURRENCES = _rx(r"(\w+) \. (\w+)"), _rx(r"(\w+) @ (\d+)")
 # strings (group 1) and comments, and the first character of a word that is neither an ASCII letter, '_' nor a digit
 _LITERALS, _FIRSTS = _rx(r"(STR)|#[^\n]*"), re.compile(r"(?<!\w)[^\W\d_A-Za-z]")
 
@@ -76,9 +73,15 @@ def _unique(ids: list[str]) -> None:
         raise _Declined
 
 
-def _items(rx: re.Pattern[str], items: str) -> list:
-    """The matches of ``rx`` in the text of a list, its comments left out."""
-    return rx.findall(_LITERALS.sub(r"\1", items) if "#" in items else items)
+def _words(items: str, *separators: str) -> list[str]:
+    """The words of a list that a pattern has matched, in order: ids, stage words and integers are word
+    characters, and once its comments and ``separators`` are blanks only blanks stand between them."""
+    if "#" in items:
+        items = _LITERALS.sub(" ", items)
+    for separator in separators:
+        if separator in items:
+            items = items.replace(separator, " ")
+    return items.split()
 
 
 def read(src: syntax.SourceFile) -> Optional[syntax.Document]:
@@ -108,7 +111,8 @@ def _document(text: str, spans: syntax._Spans) -> syntax.Document:
         tuple(_subdiagram(m, items) for m, items in subdiagrams),
         tuple(Event(m[1], m[2], None if m[3] is None else (int(m[3]), int(m[4]))) for m, _ in events),
         tuple(_chronology(m, items) for m, items in chronologies),
-        tuple(Trace(m[1], tuple((e, int(t)) for e, t in _items(_OCCURRENCES, m[2] or ""))) for m, _ in traces),
+        tuple(Trace(m[1], tuple(zip(w[::2], map(int, w[1::2])))) for m, _ in traces
+              for w in [_words(m[2] or "", "@", ",")]),  # an occurrence is two words
     )
     if any(check_trace_shape(trace) is not None for trace in sections[3]):
         raise _Declined
@@ -130,13 +134,14 @@ def _sections(rx: re.Pattern[str], items: Optional[re.Pattern[str]], text: str, 
 
 
 def _subdiagram(m: re.Match[str], items: list[re.Match[str]]) -> Subdiagram:
-    stages = tuple(StageRef(t, _KINDS[k]) for i in items if i[1] for t, k in _items(_REFS, i[1]))
-    arcs = tuple(a for i in items if i[2] for a in _items(_WORDS, i[2]))
+    refs = [w for i in items if i[1] for w in _words(i[1], ".", ",")]  # a stage reference is two words
+    stages = tuple(StageRef(t, _KINDS[k]) for t, k in zip(refs[::2], refs[1::2]))
+    arcs = tuple(a for i in items if i[2] for a in _words(i[2], ","))
     return Subdiagram(m[1], syntax.unescape(m[2][1:-1]), stages, arcs)
 
 
 def _chronology(m: re.Match[str], items: list[re.Match[str]]) -> ChronologyDecl:
-    lists = [(i.lastindex, _items(_WORDS, i[i.lastindex])) for i in items]
+    lists = [(i.lastindex, _words(i[i.lastindex], "->", ",", "|")) for i in items]
     edges = [edge for kind, ids in lists if kind == 1 for edge in zip(ids, ids[1:])]
     explicit = [e for kind, ids in lists if kind == 2 for e in ids]
     groups = [(i[3], frozenset(ids)) for i, (kind, ids) in zip(items, lists) if kind == 4]
@@ -162,10 +167,10 @@ def _model(text: str, first: dict[str, int]) -> tuple[re.Match[str], list[Thimac
             arc_kind = ArcKind.FLOW if item[5] == "flow" else ArcKind.TRIGGER
             arcs.append(Arc(item[6], arc_kind, StageRef(item[7], _KINDS[item[8]]), StageRef(item[9], _KINDS[item[10]])))
         elif kind == 1 and inside:
-            inside[-1][2].extend(_items(_WORDS, item[1]))
+            inside[-1][2].extend(_words(item[1], ","))
             _unique(inside[-1][2])
         elif kind == 2 and inside:
-            inside[-1][4].extend([syntax.unescape(s[1:-1]) for s in _items(_STRINGS, item[2])])
+            inside[-1][4].extend([syntax.unescape(s[1:-1]) for s in _LITERALS.findall(item[2]) if s])
         elif kind == _BODY.groups:
             decl = syntax.thimac_decl(*inside.pop())
             (inside[-1][3] if inside else roots).append(decl)

@@ -24,11 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from tmkit.behavior import build_chronology
-from tmkit.events import check_subdiagram, coverage
+from tmkit.behavior import build_chronology, evaluate_trace
+from tmkit.dot import Level, RenderOptions, to_dot
+from tmkit.events import check_subdiagram, coverage, eventize
 from tmkit.model import build_model
 from tmkit.simulate import Seeded, simulate
-from tmkit.syntax import Document, SourceFile, parse, print_document
+from tmkit.syntax import Document, SourceFile, _tokenize, parse, print_document
 from tmkit.validate import validate_static
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
@@ -85,15 +86,25 @@ def _simulate(src: SourceFile, doc: Document) -> int:
     return count_calls(simulate, doc.model, doc.subdiagrams, doc.events, chron, Seeded(0))
 
 
+def _evaluate_trace(src: SourceFile, doc: Document) -> int:
+    chron = build_chronology(doc.events, doc.chronologies[0])
+    return count_calls(evaluate_trace, chron, doc.traces[0])
+
+
 # the calls each layer makes on one chain document
 LAYERS = {
+    "syntax._tokenize": lambda src, doc: count_calls(_tokenize, src.text),
     "syntax.parse": lambda src, doc: count_calls(parse, src),
     "model.build_model": _build_model,
     "validate.validate_static": lambda src, doc: count_calls(validate_static, doc.model),
     "syntax.print_document": lambda src, doc: count_calls(print_document, doc),
     "events.check_subdiagram": _check_subdiagrams,
     "events.coverage": lambda src, doc: count_calls(coverage, doc.model, doc.subdiagrams),
+    "events.eventize": lambda src, doc: count_calls(eventize, doc.subdiagrams, doc.events),
     "behavior.build_chronology": lambda src, doc: count_calls(build_chronology, doc.events, doc.chronologies[0]),
+    "behavior.evaluate_trace": _evaluate_trace,
+    "dot.to_dot static": lambda src, doc: count_calls(to_dot, doc, RenderOptions(Level.STATIC)),
+    "dot.to_dot behavior": lambda src, doc: count_calls(to_dot, doc, RenderOptions(Level.BEHAVIOR)),
     "simulate.simulate": _simulate,
 }
 

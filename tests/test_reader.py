@@ -2,6 +2,7 @@
 parser reports no error in it, and then reads the token parser's document with
 the same spans, so a clean document never reaches the token parser."""
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -130,6 +131,29 @@ def test_the_reader_declines_or_agrees_on_mutated_documents():
     assert 0 < read < 1500  # both paths are taken
 
 
+# a string, a comment or a window's '..', each kept as it is, or a separator of a list, a stage reference or
+# an arc, or a trace's bracket, with the blanks around it
+_SEPARATOR = re.compile(r'("(?:[^"\\\n]|\\[\s\S])*"|#[^\n]*|\.\.)|[ \t\r\n]*(->|[,.|@\[\]])[ \t\r\n]*')
+# each separator with a comment and a line break after it, with blanks around it, and with no blanks at all
+SEPARATED = {"commented": "{} # after {}\n", "spaced": " {} ", "tight": "{}"}
+
+
+def separated(text: str, form: str) -> str:
+    return _SEPARATOR.sub(lambda m: m[1] or SEPARATED[form].format(m[2], m[2]), text)
+
+
+def test_separators_in_every_form_read_as_the_token_parser_does():
+    rng = random.Random(19)
+    texts = [print_document(random_document(rng)) for _ in range(300)]
+    texts += [gen.branchy(rng, k).text for k in (1, 2, 3, 4, 5)]
+    assert separated("stages: a . create, b.process;", "tight") == "stages: a.create,b.process;"
+    assert separated('trace t = [ A @ 0, B @ 1 ] # "x, y"', "tight") == 'trace t =[A@0,B@1]# "x, y"'
+    assert separated('things: "a.b", "c";', "commented") == 'things: "a.b", # after ,\n"c";'
+    for text in texts:
+        for form in SEPARATED:
+            assert agree(separated(text, form)), (form, text)
+
+
 @settings(max_examples=300, deadline=None)
 @given(spliced_fixtures())
 def test_the_reader_declines_or_agrees_on_spliced_fixtures(text):
@@ -183,11 +207,15 @@ def test_long_lists_and_labels_take_one_scan():
     # counts no calls, so only a time bound catches it
     things = "".join(f'"l{i}", # label {i}\n' for i in range(20_000)) + '"end"'
     label = '"' + '\\"\\\\' * 50_000  # 100,000 escaped characters, unterminated
+    refs = "".join(f"a{i} . create, # ref {i}\n" for i in range(20_000))
+    occurrences = ", ".join(f"e{i} @ {i} # occurrence {i}\n" for i in range(20_000))
     texts = [
         (f'model m {{ thimac a "A" {{ things: {things}; }} }}\n', None),
         (f'model m {{ thimac a {label}" {{ }} }}\n', None),
         (f'model m {{\n  thimac a {label} {{ }}\n}}\n', "unterminated string"),
         (f'model m {{ thimac a "A" {{ things: {things} }} }}\n', "expected ;, found '}'"),
+        (f'model m {{ }}\nsubdiagram s "S" {{ stages: {refs} a.create; }}\n', None),
+        (f"model m {{ }}\ntrace t = [ {occurrences} ]\n", None),
     ]
     read = []
     for text, problem in texts:
@@ -198,3 +226,5 @@ def test_long_lists_and_labels_take_one_scan():
         assert problem is None or problem in [d.message for d in res.diagnostics]
         read.append(doc)
     assert len(read[0].model.roots[0].things) == 20_001 and read[1].model.roots[0].label == '"\\' * 50_000
+    assert len(read[4].subdiagrams[0].stages) == 20_001 and read[4].subdiagrams[0].stages[-2].thimac == "a19999"
+    assert read[5].traces[0].occurrences[-1] == ("e19999", 19_999) and len(read[5].traces[0].occurrences) == 20_000
