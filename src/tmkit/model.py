@@ -12,7 +12,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import DuplicateId, SizeLimitExceeded, UnresolvedStageRef
+from .errors import DuplicateId, UnresolvedStageRef
 
 
 class StageKind(Enum):
@@ -111,9 +111,6 @@ class StaticModel:
     def arc(self, arc_id: str) -> Optional[Arc]:
         return self._arc_by_id.get(arc_id)
 
-    def element_count(self) -> int:
-        return sum(1 for _ in self.walk()) + len(self.arcs)
-
     # Lazy indices; the model is frozen so they are computed once.
     @cached_property
     def stages(self) -> dict[StageRef, Thimac]:
@@ -166,9 +163,6 @@ def build_model(
 # ---------------------------------------------------------------------------
 # Structural isomorphism
 
-DEFAULT_ISO_LIMIT = 64
-
-
 @dataclass(frozen=True)
 class IsoResult:
     isomorphic: bool
@@ -178,54 +172,64 @@ class IsoResult:
         return self.isomorphic
 
 
-def models_isomorphic(a: StaticModel, b: StaticModel, limit: int = DEFAULT_ISO_LIMIT) -> IsoResult:
-    """Exact structural equivalence test, blind to ids and display labels.
-
-    True iff a thimac bijection exists preserving containment, stage sets and
-    arcs (kind + endpoints). Returns the witness mapping when found. Intended
-    for desk-scale models; raises SizeLimitExceeded above ``limit`` elements.
+def models_isomorphic(a: StaticModel, b: StaticModel) -> IsoResult:
+    """Exact structural equivalence, blind to ids, labels and declaration order,
+    for models of any size: true iff a thimac bijection preserves containment,
+    stage sets and arcs (with multiplicity); the witness maps a's ids in walk order.
+    As in VF2 (Cordella et al. 2004) a's thimacs are mapped depth first, each edge
+    checked once both its ends are mapped, and as in VF2++ (Juttner & Madarasi
+    2018) each component starts at its rarest colour. A colour counts every edge,
+    so a component mapped whole has a whole component of b for image, and it stays.
     """
-    for m in (a, b):
-        n = m.element_count()
-        if n > limit:
-            raise SizeLimitExceeded(f"model '{m.name}' has {n} elements (limit {limit})")
+    numbers: dict[tuple, int] = {}  # shared, so that a thimac and its image get the same colour
 
-    def signature(t: Thimac) -> tuple:
-        # stage names, not frozensets: sorting needs a total order, and set < set is only the subset order
-        return (sorted(k.value for k in t.stages), sorted(signature(c) for c in t.children))
+    def colour(m: StaticModel) -> tuple[dict[str, int], dict[str, list[tuple[tuple, str]]]]:
+        # each thimac's labelled edges, and its colour: its stages, its children's colours and its edges' labels
+        near: dict[str, list[tuple[tuple, str]]] = {t.id: [] for t in m.walk()}
+        for t in m.walk():
+            for c in t.children:
+                near[t.id].append((("child",), c.id))
+                near[c.id].append((("parent",), t.id))
+        for arc in m.arcs:
+            for own, far, way in ((arc.src, arc.dst, "out"), (arc.dst, arc.src, "in")):
+                near[own.thimac].append(((arc.kind.value, own.kind.value, far.kind.value, way), far.thimac))
+        colours: dict[str, int] = {}
+        for t in reversed(list(m.walk())):  # children before their parent
+            key = (t.stages, tuple(sorted(colours[c.id] for c in t.children)), tuple(sorted(e for e, _ in near[t.id])))
+            colours[t.id] = numbers.setdefault(key, len(numbers))
+        return colours, near
 
-    def match_forest(xs: tuple[Thimac, ...], ys: tuple[Thimac, ...], mapping: dict[str, str]) -> Iterator[dict[str, str]]:
-        if len(xs) != len(ys):
-            return
-        if not xs:
-            yield mapping
-            return
-        x, rest = xs[0], xs[1:]
-        sig_x = signature(x)
-        for i, y in enumerate(ys):
-            if signature(y) != sig_x:
-                continue
-            for sub in match_trees(x, y, dict(mapping)):
-                yield from match_forest(rest, ys[:i] + ys[i + 1:], sub)
+    (colour_a, near_a), (colour_b, near_b) = colour(a), colour(b)
+    census = Counter(colour_a.values())
+    if census != Counter(colour_b.values()):
+        return IsoResult(False)
+    reached_from: dict[str, Optional[str]] = {}  # a's thimacs depth first, from each component's rarest colour
+    stack = [(x, None) for x in sorted(colour_a, key=lambda x: -census[colour_a[x]])]
+    while stack:
+        x, p = stack.pop()
+        if x not in reached_from:
+            reached_from[x] = p
+            stack.extend((n, x) for _, n in reversed(near_a[x]))
+    order = list(reached_from.items())
 
-    def match_trees(x: Thimac, y: Thimac, mapping: dict[str, str]) -> Iterator[dict[str, str]]:
-        if x.stages != y.stages:
-            return
-        mapping[x.id] = y.id
-        yield from match_forest(x.children, y.children, mapping)
+    to_b: dict[str, str] = {}  # a's mapped thimacs to their images, and to_a back
+    to_a: dict[str, str] = {}
 
-    arcs_b = Counter((arc.kind, arc.src, arc.dst) for arc in b.arcs)
+    def fits(x: str, y: str) -> bool:
+        """Map x to y if each edge between x and a mapped thimac has its image."""
+        to_b[x], to_a[y] = y, x
+        if sorted((e, to_b[n]) for e, n in near_a[x] if n in to_b) != sorted((e, m) for e, m in near_b[y] if m in to_a):
+            del to_b[x], to_a[y]
+        return x in to_b
 
-    def arcs_preserved(mapping: dict[str, str]) -> bool:
-        if len(a.arcs) != len(b.arcs):
-            return False
-        mapped = Counter(
-            (arc.kind, StageRef(mapping[arc.src.thimac], arc.src.kind), StageRef(mapping[arc.dst.thimac], arc.dst.kind))
-            for arc in a.arcs
-        )
-        return mapped == arcs_b
-
-    for mapping in match_forest(a.roots, b.roots, {}):
-        if arcs_preserved(mapping):
-            return IsoResult(True, mapping)
-    return IsoResult(False)
+    tries: list[Iterator[str]] = []  # the untried candidates of each mapped thimac of order
+    while len(tries) < len(order):
+        x, p = order[len(tries)]
+        pool = colour_b if p is None else dict.fromkeys(m for _, m in near_b[to_b[p]])
+        tries.append(iter([y for y in pool if y not in to_a and colour_b[y] == colour_a[x]]))
+        while not any(fits(order[len(tries) - 1][0], y) for y in tries[-1]):
+            if order[len(tries) - 1][1] is None:  # the first thimac of a component has no image left
+                return IsoResult(False)
+            tries.pop()
+            del to_a[to_b.pop(order[len(tries) - 1][0])]
+    return IsoResult(True, {t.id: to_b[t.id] for t in a.walk()})

@@ -2,10 +2,13 @@
 library functions, kept apart from the code they check."""
 from __future__ import annotations
 
+from collections import Counter
+from typing import Iterator
+
 from tmkit import diagnostics as dg
 from tmkit.behavior import Chronology, canonical_order, run_set_valid
 from tmkit.errors import BoundExceeded, IllegalAction
-from tmkit.model import StageKind, StageRef, StaticModel
+from tmkit.model import IsoResult, StageKind, StageRef, StaticModel, Thimac
 from tmkit.simulate import MEMBER_STAGES, RETIRED, ThingInstance
 
 # Exact enumeration is exponential in the event count; chronologies are
@@ -232,3 +235,55 @@ def first_declarations(text: str) -> dict[str, dg.Span]:
         if kind == "ident" and word in DECLARING and next_kind == "ident":
             first.setdefault(name, dg.Span("f.tm", line, col))
     return first
+
+
+def isomorphic_by_backtracking(a: StaticModel, b: StaticModel) -> IsoResult:
+    """Exact structural equivalence test, blind to ids and display labels.
+
+    True iff a thimac bijection exists preserving containment, stage sets and
+    arcs (kind + endpoints). Returns the witness mapping when found. Tries
+    every permutation of like siblings and checks arcs only on complete
+    mappings, so it is factorial in the size of a class of like siblings:
+    deliberately independent of models_isomorphic, which tests check
+    against it on small models.
+    """
+
+    def signature(t: Thimac) -> tuple:
+        # stage names, not frozensets: sorting needs a total order, and set < set is only the subset order
+        return (sorted(k.value for k in t.stages), sorted(signature(c) for c in t.children))
+
+    def match_forest(xs: tuple[Thimac, ...], ys: tuple[Thimac, ...], mapping: dict[str, str]) -> Iterator[dict[str, str]]:
+        if len(xs) != len(ys):
+            return
+        if not xs:
+            yield mapping
+            return
+        x, rest = xs[0], xs[1:]
+        sig_x = signature(x)
+        for i, y in enumerate(ys):
+            if signature(y) != sig_x:
+                continue
+            for sub in match_trees(x, y, dict(mapping)):
+                yield from match_forest(rest, ys[:i] + ys[i + 1:], sub)
+
+    def match_trees(x: Thimac, y: Thimac, mapping: dict[str, str]) -> Iterator[dict[str, str]]:
+        if x.stages != y.stages:
+            return
+        mapping[x.id] = y.id
+        yield from match_forest(x.children, y.children, mapping)
+
+    arcs_b = Counter((arc.kind, arc.src, arc.dst) for arc in b.arcs)
+
+    def arcs_preserved(mapping: dict[str, str]) -> bool:
+        if len(a.arcs) != len(b.arcs):
+            return False
+        mapped = Counter(
+            (arc.kind, StageRef(mapping[arc.src.thimac], arc.src.kind), StageRef(mapping[arc.dst.thimac], arc.dst.kind))
+            for arc in a.arcs
+        )
+        return mapped == arcs_b
+
+    for mapping in match_forest(a.roots, b.roots, {}):
+        if arcs_preserved(mapping):
+            return IsoResult(True, mapping)
+    return IsoResult(False)

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -20,6 +21,9 @@ from tmkit.syntax import parse_text
 
 from conftest import LONG_INTEGERS, fixture_path
 
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+import gen  # noqa: E402  (the benchmark's document generators)
+
 
 def run_cli(capsys, *argv):
     status = main(list(argv))
@@ -31,6 +35,12 @@ def machine_block(stdout):
     m = re.search(r"```tmkit\n(.*?)\n```", stdout, re.S)
     assert m, stdout
     return json.loads(m.group(1))
+
+
+def python_dash_m_tmkit(*argv, timeout=None):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "tmkit", *argv], capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_check_airport(capsys):
@@ -144,6 +154,15 @@ def test_iso_exit_codes(capsys):
     assert machine_block(out)["mapping"]["john"] == "giver"
     status, out, _ = run_cli(capsys, "iso", fixture_path("telescope_v1.tm"), fixture_path("telescope_v2.tm"))
     assert status == 1 and out.startswith("isomorphic: false")
+
+
+def test_iso_on_two_chains_of_like_machines_takes_no_search(tmp_path):
+    # ten relay machines that look alike: a matcher that permutes like siblings does not finish
+    paths = [tmp_path / f"chain{seed}.tm" for seed in (1, 2)]
+    for seed, path in zip((1, 2), paths):
+        path.write_text(gen.chain(random.Random(seed), 10).text)
+    done = python_dash_m_tmkit("iso", *map(str, paths), timeout=2)
+    assert done.returncode == 0 and done.stdout.startswith("isomorphic: true"), done.stderr
 
 
 def test_render_to_file(tmp_path, capsys):
@@ -334,11 +353,7 @@ def test_simulate_completes_a_wide_join(tmp_path, capsys):
 
 
 def test_python_dash_m_tmkit_runs_the_cli():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run(
-        [sys.executable, "-m", "tmkit", "check", fixture_path("airport.tm")], capture_output=True, text=True, env=env
-    )
+    done = python_dash_m_tmkit("check", fixture_path("airport.tm"))
     assert done.returncode == 0, done.stderr
     assert "14 subdiagrams, 14 events" in done.stdout
 

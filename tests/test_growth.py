@@ -27,7 +27,7 @@ import pytest
 from tmkit.behavior import build_chronology, evaluate_trace
 from tmkit.dot import Level, RenderOptions, to_dot
 from tmkit.events import check_subdiagram, coverage, eventize
-from tmkit.model import build_model
+from tmkit.model import build_model, models_isomorphic
 from tmkit.simulate import Seeded, simulate
 from tmkit.syntax import Document, SourceFile, _tokenize, parse, print_document
 from tmkit.validate import validate_static
@@ -65,8 +65,8 @@ def slope(sizes, counts) -> float:
 
 
 @cache
-def chain(machines: int) -> tuple[SourceFile, Document]:
-    src = SourceFile("chain.tm", gen.chain(random.Random(1), machines).text)
+def chain(machines: int, seed: int = 1) -> tuple[SourceFile, Document]:
+    src = SourceFile("chain.tm", gen.chain(random.Random(seed), machines).text)
     doc = parse(src).document
     assert doc is not None
     return src, doc
@@ -86,6 +86,12 @@ def _simulate(src: SourceFile, doc: Document) -> int:
     return count_calls(simulate, doc.model, doc.subdiagrams, doc.events, chron, Seeded(0))
 
 
+def _models_isomorphic(src: SourceFile, doc: Document) -> int:
+    # against seed 2: the same structure under other ids, where every relay machine looks alike
+    other = chain(len(doc.model.roots) - 1, seed=2)[1]
+    return count_calls(models_isomorphic, doc.model, other.model)
+
+
 def _evaluate_trace(src: SourceFile, doc: Document) -> int:
     chron = build_chronology(doc.events, doc.chronologies[0])
     return count_calls(evaluate_trace, chron, doc.traces[0])
@@ -96,6 +102,7 @@ LAYERS = {
     "syntax._tokenize": lambda src, doc: count_calls(_tokenize, src.text),
     "syntax.parse": lambda src, doc: count_calls(parse, src),
     "model.build_model": _build_model,
+    "model.models_isomorphic": _models_isomorphic,
     "validate.validate_static": lambda src, doc: count_calls(validate_static, doc.model),
     "syntax.print_document": lambda src, doc: count_calls(print_document, doc),
     "events.check_subdiagram": _check_subdiagrams,

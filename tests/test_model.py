@@ -1,13 +1,17 @@
 import copy
 import pickle
 import random
+import sys
+import time
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.errors import DuplicateId, SizeLimitExceeded, UnresolvedStageRef
+from tmkit.errors import DuplicateId, UnresolvedStageRef
 from tmkit.model import (
     Arc,
     ArcKind,
@@ -21,7 +25,11 @@ from tmkit.model import (
 from tmkit.syntax import Document, parse_text, print_document
 
 from conftest import load
-from genutil import random_model
+from genutil import fresh_id, random_model
+from oracles import isomorphic_by_backtracking
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+import gen  # noqa: E402  (the benchmark's document generators)
 
 
 # -- identity hashing of the kinds ---------------------------------------------
@@ -223,9 +231,108 @@ def test_iso_ignores_the_order_siblings_are_declared_in():
         assert sorted(result.mapping) == sorted(result.mapping.values()) == sorted(t.id for t in a.walk())
 
 
-def test_iso_size_limit(airport):
-    with pytest.raises(SizeLimitExceeded):
-        models_isomorphic(airport.model, airport.model, limit=10)
+def renamed_copy(rng, model):
+    """The same model under fresh ids, with every list of siblings and the arcs in another order."""
+    taken: set[str] = set()
+    ids = {t.id: fresh_id(rng, taken, "r") for t in model.walk()}
+
+    def rename(thimacs):
+        return tuple(replace(t, id=ids[t.id], children=rename(t.children)) for t in thimacs)
+
+    arcs = [
+        Arc(fresh_id(rng, taken, "b"), a.kind, StageRef(ids[a.src.thimac], a.src.kind), StageRef(ids[a.dst.thimac], a.dst.kind))
+        for a in model.arcs
+    ]
+    rng.shuffle(arcs)
+    return shuffled_siblings(rng, build_model(model.name, rename(model.roots), arcs, model.notation))
+
+
+def assert_carries(a, b, mapping):
+    """The mapping is a bijection of thimacs that carries stages, containment and every arc of a onto b."""
+    assert sorted(mapping) == sorted(t.id for t in a.walk())
+    assert sorted(mapping.values()) == sorted(t.id for t in b.walk())
+    assert all(a.thimac(x).stages == b.thimac(y).stages for x, y in mapping.items())
+    parents = [{c.id: t.id for t in m.walk() for c in t.children} for m in (a, b)]
+    assert {mapping[c]: mapping[p] for c, p in parents[0].items()} == parents[1]
+    image = Counter((x.kind, StageRef(mapping[x.src.thimac], x.src.kind), StageRef(mapping[x.dst.thimac], x.dst.kind)) for x in a.arcs)
+    assert image == Counter((x.kind, x.src, x.dst) for x in b.arcs)
+
+
+def test_iso_finds_a_renamed_copy_and_agrees_with_backtracking():
+    rng = random.Random(20)
+    for i in range(1000):
+        a = random_model(rng)
+        b = renamed_copy(rng, a)
+        result = models_isomorphic(a, b)
+        assert result.isomorphic, (i, print_document(Document(a)))
+        assert_carries(a, b, result.mapping)
+        others = [random_model(rng)]
+        if b.arcs:  # the copy with one arc endpoint moved
+            arcs = list(b.arcs)
+            j = rng.randrange(len(arcs))
+            arcs[j] = replace(arcs[j], **{rng.choice(["src", "dst"]): rng.choice(list(b.stages))})
+            others.append(replace(b, arcs=tuple(arcs)))
+        for other in others:
+            result = models_isomorphic(a, other)
+            assert result.isomorphic == isomorphic_by_backtracking(a, other).isomorphic, (i, print_document(Document(other)))
+            if result:
+                assert_carries(a, other, result.mapping)
+
+
+def fan(k):
+    """A parent with k children, where child i starts a flow chain of i + 1
+    root thimacs, and every thimac but the parent has the same stages."""
+    here = frozenset({StageKind.TRANSFER})
+    children, roots, arcs = [], [], []
+    for i in range(k):
+        prev = f"c{i}"
+        children.append(Thimac(prev, "", here))
+        for j in range(i + 1):
+            roots.append(Thimac(f"r{i}_{j}", "", here))
+            arcs.append(Arc(f"f{i}_{j}", ArcKind.FLOW, StageRef(prev, StageKind.TRANSFER), StageRef(roots[-1].id, StageKind.TRANSFER)))
+            prev = roots[-1].id
+    return build_model("fan", [Thimac("p", "", frozenset({StageKind.PROCESS}), tuple(children)), *roots], arcs)
+
+
+def test_iso_on_a_fan_of_like_siblings_takes_no_search():
+    # a matcher that permutes like siblings or like roots is factorial in k here
+    a = fan(10)
+    b = renamed_copy(random.Random(3), a)
+    start = time.perf_counter()
+    result = models_isomorphic(a, b)
+    assert time.perf_counter() - start < 2
+    assert result.isomorphic
+    assert_carries(a, b, result.mapping)
+
+
+def cycles(lengths):
+    """Flow cycles of these lengths over thimacs with one transfer stage each, so all of one colour."""
+    here = frozenset({StageKind.TRANSFER})
+    thimacs, arcs = [], []
+    for i, n in enumerate(lengths):
+        ids = [f"c{i}_{j}" for j in range(n)]
+        thimacs += [Thimac(t, "", here) for t in ids]
+        arcs += [Arc(f"f{i}_{j}", ArcKind.FLOW, StageRef(ids[j], StageKind.TRANSFER), StageRef(ids[j - 1], StageKind.TRANSFER)) for j in range(n)]
+    return build_model("cycles", thimacs, arcs)
+
+
+def test_iso_maps_each_component_once():
+    # nine like triangles, then a six-cycle against two more triangles: a matcher that maps the
+    # triangles again each time the six-cycle finds no image tries every way to place them
+    assert not isomorphic_by_backtracking(cycles([6]), cycles([3, 3]))
+    a, b = cycles([3] * 9 + [6]), cycles([3] * 9 + [3, 3])
+    start = time.perf_counter()
+    assert not models_isomorphic(a, b)
+    assert time.perf_counter() - start < 2
+    assert models_isomorphic(a, renamed_copy(random.Random(4), a))
+
+
+def test_iso_maps_a_chain_longer_than_the_recursion_limit():
+    a, b = (parse_text(gen.chain(random.Random(seed), 1600).text).document.model for seed in (1, 2))
+    assert sum(1 for _ in a.walk()) > sys.getrecursionlimit()
+    result = models_isomorphic(a, b)
+    assert result.isomorphic
+    assert_carries(a, b, result.mapping)
 
 
 def test_single_create_model_validates_and_round_trips():
