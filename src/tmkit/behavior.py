@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import compress
 from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
 
-from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
+from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
 from .events import Event
 
 
@@ -334,7 +334,8 @@ def _cycle_among(leftover: list[str], edges: Iterable[tuple[str, str]]) -> list[
 
 
 def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
-    """Assign a truth value: true iff the trace realizes a run.
+    """Assign a truth value: true iff the trace realizes a run. Raises
+    MalformedTrace when check_trace_shape finds fault with the trace.
 
     Checks, in order: every occurrence is a chronology event; timestamps
     strictly respect every edge between occurred events (equal stamps are
@@ -345,7 +346,7 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
     """
     shape = check_trace_shape(trace)
     if shape is not None:
-        raise ValueError(f"malformed trace '{trace.id}': {shape}")
+        raise MalformedTrace(f"malformed trace '{trace.id}': {shape}")
 
     stamp: dict[str, int] = {}
     for e, ts in trace.occurrences:
@@ -492,9 +493,10 @@ def search_runs(
 
 def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[str, ...]]:
     """All runs of the chronology, one canonical order per run set. Raises
-    BoundExceeded when the run count passes ``bound`` or search_runs its step cap."""
+    BoundExceeded when ``bound`` is below the event count, the run count
+    passes it or search_runs passes its step cap."""
     if bound < len(chronology.events):
-        raise ValueError(f"bound {bound} is smaller than the event count {len(chronology.events)}")
+        raise BoundExceeded(f"bound {bound} is smaller than the event count {len(chronology.events)}")
     runs: list[tuple[str, ...]] = []
     for occurred in search_runs(chronology, bound):
         runs.append(canonical_order(chronology, occurred))

@@ -147,10 +147,7 @@ def _cmd_desugar(args: argparse.Namespace, loaded: _Loaded) -> int:
 def _cmd_evaluate(args: argparse.Namespace, loaded: _Loaded) -> int:
     chron = _pick_chronology(loaded.chronologies, args.chronology)
     trace = _pick_trace(loaded.doc, args.trace)
-    try:
-        verdict = evaluate_trace(chron, trace)
-    except ValueError as e:
-        raise _Fail(INVALID, str(e))
+    verdict = evaluate_trace(chron, trace)
     payload = {"truth": verdict.truth}
     if verdict.truth:
         payload["run"] = list(verdict.run or ())
@@ -186,10 +183,7 @@ def _cmd_simulate(args: argparse.Namespace, loaded: _Loaded) -> int:
 
 def _cmd_runs(args: argparse.Namespace, loaded: _Loaded) -> int:
     chron = _pick_chronology(loaded.chronologies, args.chronology)
-    try:
-        runs = enumerate_runs(chron, args.bound)
-    except ValueError as e:
-        raise _Fail(INVALID, str(e))
+    runs = enumerate_runs(chron, args.bound)
     for run in runs:
         print("[" + ", ".join(run) + "]")
     print(f"{len(runs)} run(s)", file=sys.stderr)

@@ -45,6 +45,10 @@ class BoundExceeded(TmkitError):
     pass
 
 
+class MalformedTrace(TmkitError):
+    pass
+
+
 class IllegalAction(TmkitError):
     def __init__(self, stage, message: str):
         super().__init__(f"{stage[0]}.{stage[1].value}: {message}")

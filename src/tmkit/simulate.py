@@ -120,11 +120,9 @@ class SimContext:
 
     @cached_property
     def plans(self) -> dict[str, _Plan]:
-        return {s.id: _plan(s, self.model) for s in self.subdiagrams}
-
-    @cached_property
-    def event_by_id(self) -> dict[str, Event]:
-        return {e.id: e for e in self.events}
+        """Each event's plan, by event id; events of one subdiagram share it."""
+        plans = {s.id: _plan(s, self.model) for s in self.subdiagrams}
+        return {e.id: plans[e.subdiagram] for e in self.events}
 
     @cached_property
     def handoff_ports(self) -> frozenset[StageRef]:
@@ -151,7 +149,12 @@ class SimState:
     frontier: frozenset[str] = frozenset()  # unfired events not ruled out that are starts or follow a fired one
     witness: Optional[frozenset[str]] = None  # a run holding the fired events and no ruled-out one, if any
     unfinished: frozenset[str] = frozenset()  # fired non-end events with no fired successor
-    searched: dict[str, Optional[frozenset[str]]] = field(init=False, default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def _enabled(self) -> dict[str, frozenset[str]]:
+        """Each event that may fire next, in id order, with the witness its firing keeps."""
+        witnesses = {e: _witness_after(self, e) for e in sorted(self.frontier) if _stamp(self, e) is not None}
+        return {e: w for e, w in witnesses.items() if w is not None}
 
 
 def initial_state(model: StaticModel, subdiagrams: Sequence[Subdiagram], events: Sequence[Event], chronology: Chronology) -> SimState:
@@ -220,30 +223,15 @@ def _ruled_out(state: SimState, event_id: str) -> frozenset[str]:
 def _witness_after(state: SimState, event_id: str) -> Optional[frozenset[str]]:
     """A run that holds the fired events and the event and none of the
     events its firing rules out, or None when there is no such run."""
-    chron, witness, searched = state.ctx.chronology, state.witness, state.searched
+    chron, witness = state.ctx.chronology, state.witness
     if witness is not None and event_id in witness and chron.predecessors(event_id) & witness <= state.fired:
         return witness  # the move stays inside the witness
-    if event_id not in searched:  # enabled_events and fire_event ask about the same move
-        runs = search_runs(chron, len(chron.events), state.fired | {event_id}, _ruled_out(state, event_id))
-        searched[event_id] = next(runs, None)
-    return searched[event_id]
+    return next(search_runs(chron, len(chron.events), state.fired | {event_id}, _ruled_out(state, event_id)), None)
 
 
-def _enabled_witness(state: SimState, event_id: str) -> Optional[frozenset[str]]:
-    """The witness of firing the event next if it is enabled, else None."""
-    ok = event_id in state.frontier and _stamp(state, event_id) is not None
-    return _witness_after(state, event_id) if ok else None
-
-
-def enabled_events(state: SimState) -> list[str]:
-    """Events that may fire next: each unfired event whose window is open and
-    that some run holds together with the fired events, with no unfired
-    predecessor of any of them."""
-    return sorted(e for e in state.frontier if _enabled_witness(state, e) is not None)
-
-
-def fire_event(state: SimState, event_id: str) -> SimState:
-    """Execute one enabled event: its subdiagram's actions in flow order.
+def _moves(ctx: SimContext, event_id: str, instances: tuple[ThingInstance, ...]) -> tuple[ThingInstance, ...]:
+    """The thing instances once the event's subdiagram acts on them, its
+    actions in flow order. The chronology plays no part.
 
     Every process stage of the subdiagram must transform something, either a
     thing carried in by the event's own flows or one already present in the
@@ -251,12 +239,8 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     and IllegalAction names the starved stage. Creations the event triggers
     happen once its actions are done.
     """
-    ctx = state.ctx
-    witness = _enabled_witness(state, event_id)
-    if witness is None:
-        raise NotEnabled(f"event '{event_id}' is not enabled")
-    plan = ctx.plans[ctx.event_by_id[event_id].subdiagram]
-    things = {i.id: list(i) for i in state.instances}
+    plan = ctx.plans[event_id]
+    things = {i.id: list(i) for i in instances}
     at: dict[Location, list[list]] = {}
     for thing in things.values():
         at.setdefault(thing[2], []).append(thing)
@@ -292,13 +276,29 @@ def fire_event(state: SimState, event_id: str) -> SimState:
     for ref in plan.triggers:
         if ref.kind is StageKind.CREATE:
             _spawn(ctx.model, things, at, ref.thimac)
+    return tuple(map(ThingInstance._make, sorted(things.values())))
 
-    chron, step = ctx.chronology, _stamp(state, event_id)
-    fired, out = state.fired | {event_id}, _ruled_out(state, event_id)
+
+def enabled_events(state: SimState) -> list[str]:
+    """Events that may fire next, in id order: each unfired event whose window
+    is open and that some run holds together with the fired events, with no
+    unfired predecessor of any of them."""
+    return list(state._enabled)
+
+
+def fire_event(state: SimState, event_id: str) -> SimState:
+    """Fire one enabled event: move the things, then bring the chronology
+    bookkeeping up to date. Raises NotEnabled for an event that may not fire
+    next and IllegalAction for a move the model cannot make."""
+    witness = state._enabled.get(event_id)
+    if witness is None:
+        raise NotEnabled(f"event '{event_id}' is not enabled")
+    ctx, step = state.ctx, _stamp(state, event_id)
+    chron, fired, out = ctx.chronology, state.fired | {event_id}, _ruled_out(state, event_id)
     return SimState(
         ctx=ctx,
         step=step + 1,
-        instances=tuple(map(ThingInstance._make, sorted(things.values()))),
+        instances=_moves(ctx, event_id, state.instances),
         log=state.log + ((event_id, step),),
         fired=fired,
         out=out,

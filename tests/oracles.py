@@ -103,17 +103,16 @@ def _act(ctx, things: dict[str, ThingInstance], inst: ThingInstance, target: Sta
         things[inst.id] = ThingInstance(inst.id, inst.label, target, inst.tags)
 
 
-def instances_after_moves(state, event_id: str) -> tuple[ThingInstance, ...]:
-    """The thing instances once an enabled event of a simulation state fires;
-    raises the IllegalAction its firing raises.
+def instances_after_moves(ctx, event_id: str, instances: tuple[ThingInstance, ...]) -> tuple[ThingInstance, ...]:
+    """The thing instances once the event's subdiagram acts on them; raises
+    the IllegalAction ``tmkit.simulate._moves`` raises.
 
-    The per-move firing that ``tmkit.simulate.fire_event`` replaced, which
-    builds a new ThingInstance for every move and scans every instance for
-    each flow, kept as its differential oracle. It follows the same plan.
+    The per-move firing that ``_moves`` replaced, which builds a new
+    ThingInstance for every move and scans every instance for each flow, kept
+    as its differential oracle. It follows the same plan.
     """
-    ctx = state.ctx
-    plan = ctx.plans[ctx.event_by_id[event_id].subdiagram]
-    things = {i.id: i for i in state.instances}
+    plan = ctx.plans[event_id]
+    things = {i.id: i for i in instances}
 
     for ref in plan.creates:
         _spawn(ctx.model, things, ref.thimac)

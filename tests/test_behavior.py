@@ -23,7 +23,7 @@ from tmkit.behavior import (
     run_set_valid,
     search_runs,
 )
-from tmkit.errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, UnknownEvent
+from tmkit.errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
 from tmkit.events import Event
 
 from conftest import load
@@ -172,7 +172,7 @@ def test_equal_timestamps_on_concurrent_pair_accepted():
 
 
 def test_malformed_trace_is_a_caller_error(airport_chronology):
-    with pytest.raises(ValueError):
+    with pytest.raises(MalformedTrace):
         evaluate_trace(airport_chronology, Trace("t", (("E1", 3), ("E3", 1))))
 
 
@@ -235,7 +235,7 @@ def test_bound_exceeded():
 
 
 def test_bound_below_event_count_rejected(airport_chronology):
-    with pytest.raises(ValueError):
+    with pytest.raises(BoundExceeded):
         enumerate_runs(airport_chronology, bound=3)
 
 

@@ -99,6 +99,11 @@ def test_runs_prints_four(capsys):
     assert "[E1, E3, E4, E5, E8, E9, E13, E14]" in lines
 
 
+def test_runs_with_a_bound_below_the_event_count_exits_1(capsys):
+    status, out, err = run_cli(capsys, "runs", fixture_path("airport.tm"), "--bound", "1")
+    assert (status, out, err) == (1, "", "tmkit: bound 1 is smaller than the event count 14\n")
+
+
 def test_simulate_output_reparses_and_evaluates_true(capsys):
     status, out, err = run_cli(capsys, "simulate", fixture_path("airport.tm"), "--seed", "9")
     assert status == 0
