@@ -12,7 +12,11 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .errors import DuplicateId, UnresolvedStageRef
+from .errors import BoundExceeded, DuplicateId, UnresolvedStageRef
+
+# Deeper thimac nesting is refused, which bounds the recursion of every tree
+# walk over a built model, and of == and hash on its thimacs.
+MAX_NESTING = 100
 
 
 class StageKind(Enum):
@@ -138,11 +142,18 @@ def build_model(
 ) -> StaticModel:
     """The StaticModel of these records, as given, once it checks them.
 
-    Raises on the first failure: DuplicateId for a thimac id, in walk order;
-    then, arc by arc, DuplicateId for its id or UnresolvedStageRef for its src,
-    then its dst. The DSL front end maps these onto diagnostics.
+    Raises on the first failure: BoundExceeded when thimacs nest more than
+    MAX_NESTING deep; DuplicateId for a thimac id, in walk order; then, arc by
+    arc, DuplicateId for its id or UnresolvedStageRef for its src, then its dst.
+    The DSL front end maps these onto diagnostics.
     """
     model = StaticModel(name, tuple(thimacs), tuple(arcs), notation)
+    level, depth = model.roots, 0
+    while level:
+        depth += 1
+        if depth > MAX_NESTING:
+            raise BoundExceeded(f"thimacs nest more than {MAX_NESTING} deep")
+        level = [c for t in level for c in t.children]
     thimac_ids: set[str] = set()
     for t in model.walk():
         if t.id in thimac_ids:

@@ -7,11 +7,12 @@ PEG parser reports syntax errors (PEP 617).
 from __future__ import annotations
 
 import re
+from types import MappingProxyType
 from typing import Optional
 
 from . import syntax
 from .behavior import ChronologyDecl, Trace, check_trace_shape
-from .errors import DuplicateId, UnresolvedStageRef
+from .errors import BoundExceeded, DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
 from .model import Arc, ArcKind, Notation, StageKind, StageRef, Thimac
 
@@ -88,14 +89,16 @@ def read(src: syntax.SourceFile) -> Optional[syntax.Document]:
     """The document in ``src`` as the token parser reads it, with the source offset of each
     declaration's id for its spans, or None where that parser reports an error."""
     try:
-        return _document(src.text, syntax._Spans(src))
-    except (_Declined, ValueError, DuplicateId, UnresolvedStageRef):  # ValueError: an integer too long for int()
+        return _document(src.text)
+    # ValueError: an integer too long for int(); the others: a model build_model refuses
+    except (_Declined, ValueError, BoundExceeded, DuplicateId, UnresolvedStageRef):
         return None
 
 
-def _document(text: str, spans: syntax._Spans) -> syntax.Document:
+def _document(text: str) -> syntax.Document:
     # build_model and the sections' records wait until the whole text has matched: most declined texts stop matching
-    header, roots, arcs, pos = _model(text, spans.first)
+    first: dict[str, int] = {}  # source offset of each id's first declaration
+    header, roots, arcs, pos = _model(text, first)
     subdiagrams, pos = _sections(_SUBDIAGRAM, _SUBDIAGRAM_ITEM, text, pos)
     events, pos = _sections(_EVENT, None, text, pos)
     chronologies, pos = _sections(_CHRONOLOGY, _CHRONOLOGY_ITEM, text, pos)
@@ -106,7 +109,7 @@ def _document(text: str, spans: syntax._Spans) -> syntax.Document:
     if not text.isascii() and not all(c.isalpha() for c in _FIRSTS.findall(_LITERALS.sub(" ", text))):
         raise _Declined
     for m, _ in (*subdiagrams, *events, *chronologies, *traces):
-        spans.first.setdefault(m[1], m.start(1))
+        first.setdefault(m[1], m.start(1))
     sections = (
         tuple(_subdiagram(m, items) for m, items in subdiagrams),
         tuple(Event(m[1], m[2], None if m[3] is None else (int(m[3]), int(m[4]))) for m, _ in events),
@@ -117,7 +120,7 @@ def _document(text: str, spans: syntax._Spans) -> syntax.Document:
     if any(check_trace_shape(trace) is not None for trace in sections[3]):
         raise _Declined
     model = syntax.build_model(header[1], roots, arcs, Notation.SIMPLIFIED if header[2] else Notation.FULL)
-    return syntax.Document(model, *sections, spans=spans)
+    return syntax.Document(model, *sections, spans=MappingProxyType(first))
 
 
 def _sections(rx: re.Pattern[str], items: Optional[re.Pattern[str]], text: str, pos: int) -> tuple[list, int]:
@@ -159,7 +162,7 @@ def _model(text: str, first: dict[str, int]) -> tuple[re.Match[str], list[Thimac
     inside: list[tuple[str, str, list[str], list[Thimac], list[str]]] = []
     item = _next(_BODY, text, m.end())
     while (kind := item.lastindex) != _BODY.groups or inside:
-        if kind == 4 and len(inside) < syntax.MAX_NESTING:
+        if kind == 4:
             first.setdefault(item[3], item.start(3))
             inside.append((item[3], syntax.unescape(item[4][1:-1]), [], [], []))
         elif kind == 10 and not inside:

@@ -20,10 +20,11 @@ from __future__ import annotations
 import re
 import string
 from bisect import bisect_left
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, count
+from types import MappingProxyType
 from typing import Callable, Optional, TypeVar
 
 from . import diagnostics as dg
@@ -31,6 +32,7 @@ from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
 from .errors import DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
 from .model import (
+    MAX_NESTING,
     Arc,
     ArcKind,
     Notation,
@@ -41,10 +43,6 @@ from .model import (
     Thimac,
     build_model,
 )
-
-# Deeper thimac nesting is refused at parse time, which also bounds the
-# recursion of every tree walk over a parsed model.
-MAX_NESTING = 100
 
 _STAGE_WORDS = {k.value: k for k in StageKind}
 _SECTION_KEYWORDS = ("model", "subdiagram", "event", "chronology", "trace")
@@ -61,6 +59,17 @@ class SourceFile:
         with open(path, "rb") as f:
             return cls(path, f.read().decode("utf-8-sig", errors="replace"))
 
+    @cached_property
+    def _newlines(self) -> list[int]:
+        """Offsets of the newlines, between virtual ones before and after the text."""
+        return list(accumulate(map((1).__add__, map(len, self.text.split("\n"))), initial=-1))
+
+    def span(self, offset: int) -> dg.Span:
+        """File, line and column of a source offset; columns count code points. The
+        first call builds the newline table, so a clean parse computes no position."""
+        line = bisect_left(self._newlines, offset)
+        return dg.Span(self.path, line, offset - self._newlines[line - 1])
+
 
 @dataclass(frozen=True)
 class Document:
@@ -69,7 +78,8 @@ class Document:
     events: tuple[Event, ...] = ()
     chronologies: tuple[ChronologyDecl, ...] = ()
     traces: tuple[Trace, ...] = ()
-    spans: Mapping[str, dg.Span] = field(default_factory=dict, compare=False, repr=False)
+    # the source offset of each id's first declaration; SourceFile.span places it
+    spans: Mapping[str, int] = field(default_factory=dict, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -105,35 +115,6 @@ def unescape(body: str) -> str:
     """The text of a string between its quotes: \\n and \\t are a newline and a tab, and
     a backslash before any other character stands for that character."""
     return _ESCAPE.sub(lambda e: _ESCAPES.get(e[1], e[1]), body) if "\\" in body else body
-
-
-class _Spans(Mapping[str, dg.Span]):
-    """The span of each id's first declaration, as a read-only mapping. A parser records
-    source offsets; each becomes a line and column only when read, so a clean parse
-    computes no position."""
-
-    def __init__(self, src: SourceFile):
-        self.src = src
-        self.first: dict[str, int] = {}  # source offset of each id's first declaration
-
-    @cached_property
-    def newlines(self) -> list[int]:
-        """Offsets of the newlines, between virtual ones before and after the text."""
-        return list(accumulate(map((1).__add__, map(len, self.src.text.split("\n"))), initial=-1))
-
-    def at(self, pos: int) -> dg.Span:
-        """File, line and column of a source offset; columns count code points."""
-        line = bisect_left(self.newlines, pos)
-        return dg.Span(self.src.path, line, pos - self.newlines[line - 1])
-
-    def __getitem__(self, name: str) -> dg.Span:
-        return self.at(self.first[name])
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.first)
-
-    def __len__(self) -> int:
-        return len(self.first)
 
 
 def _tokenize(text: str) -> tuple[list[str], list[str], list[int], list[tuple[str, int]]]:
@@ -192,9 +173,10 @@ class _SyntaxError(Exception):
 
 class _Parser:
     def __init__(self, src: SourceFile):
-        self.spans = _Spans(src)
+        self.src = src
+        self.first: dict[str, int] = {}  # source offset of each id's first declaration
         self.kinds, self.texts, self.starts, errors = _tokenize(src.text)
-        self.diags: list[dg.Diagnostic] = [dg.error(dg.SYNTAX, msg, span=self.spans.at(at)) for msg, at in errors]
+        self.diags: list[dg.Diagnostic] = [dg.error(dg.SYNTAX, msg, span=src.span(at)) for msg, at in errors]
         self.pos = 0  # token index
         self.declared: list[int] = []  # token index of every declaration's id
 
@@ -237,13 +219,13 @@ class _Parser:
         """Expect a declaration's id; an id's first declaration gives its span."""
         i = self.pos
         name = self.expect("ident", what=what)
-        self.spans.first.setdefault(name, self.starts[i])
+        self.first.setdefault(name, self.starts[i])
         self.declared.append(i)
         return name
 
     def report(self, message: str, at: int, code: str = dg.SYNTAX, elements: tuple[str, ...] = ()) -> None:
         """An error at token ``at``."""
-        self.diags.append(dg.error(code, message, elements, self.spans.at(self.starts[at])))
+        self.diags.append(dg.error(code, message, elements, self.src.span(self.starts[at])))
 
     def sync_to_section(self) -> None:
         # On error, skip ahead to the next plausible section start.
@@ -326,7 +308,8 @@ class _Parser:
             problem = check_trace_shape(trace)
             if problem is not None:
                 self.report(f"trace '{trace.id}': {problem}", i, elements=(trace.id,))
-        return Document(model, *(tuple(s for _, s in found) for found in sections.values()), spans=self.spans)
+        return Document(model, *(tuple(s for _, s in found) for found in sections.values()),
+                        spans=MappingProxyType(self.first))
 
     def model_section(self) -> Optional[StaticModel]:
         mark = len(self.declared)
@@ -357,7 +340,7 @@ class _Parser:
 
     def thimac_decl(self, depth: int) -> Thimac:
         self.expect("ident", "thimac")
-        if depth > MAX_NESTING:
+        if depth > MAX_NESTING:  # build_model's limit, checked before this rule recurses deeper
             raise _SyntaxError(f"thimacs nest more than {MAX_NESTING} deep", self.pos - 1)
         name = self.declare("thimac id")
         label = self.expect("string", what="thimac label")

@@ -24,6 +24,11 @@ def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
 
+def declaration_spans(src: SourceFile, doc) -> dict:
+    """The span in ``src`` of the first declaration of each id of ``doc``."""
+    return {name: src.span(at) for name, at in doc.spans.items()}
+
+
 def load(name: str):
     result = parse(SourceFile.read(fixture_path(name)))
     assert result.document is not None, result.diagnostics

@@ -196,3 +196,36 @@ def random_chronology(rng: random.Random, n_events: int, exclusive: bool = True)
     events = [Event(e, "s") for e in ids]
     decl = ChronologyDecl(id="c", event_ids=tuple(ids), edges=tuple(edges), groups=tuple(groups))
     return events, decl
+
+
+# pieces that open, close or extend a token, and words the grammar gives a meaning
+PIECES = [
+    "#", "# c\n", "\n", " ", "\t", "\r", "\f", '"', "\\", '\\"', "->", "-", "..", ".", ",", ";", ":", "{", "}",
+    "[", "]", "|", "@", "=", "0", "07", "9" * 4400, "x1", "x2", "é", "²", "Ⅻ", "٣", "_", "model", "simplified",
+    "thimac", "stages", "things", "memory", "create", "process", "flow", "trigger", "subdiagram", "arcs",
+    "event", "window", "chronology", "events", "exclusive", "start", "end", "trace",
+]
+
+
+def mutated(rng: random.Random, text: str) -> str:
+    """``text`` with one to three random edits: a piece inserted, a span deleted,
+    duplicated or moved, or a line repeated."""
+    for _ in range(rng.randint(1, 3)):
+        at, width = rng.randint(0, len(text)), rng.randint(1, 12)
+        edit = rng.randrange(5)
+        if edit == 0:
+            text = text[:at] + rng.choice(PIECES) + text[at:]
+        elif edit == 1:
+            text = text[:at] + text[at + width :]
+        elif edit == 2:
+            text = text[:at] + text[at : at + width] + text[at:]
+        elif edit == 3:
+            piece, rest = text[at : at + width], text[:at] + text[at + width :]
+            to = rng.randint(0, len(rest))
+            text = rest[:to] + piece + rest[to:]
+        else:
+            lines = text.split("\n")
+            i = rng.randrange(len(lines))
+            lines.insert(rng.randint(0, len(lines)), lines[i])
+            text = "\n".join(lines)
+    return text

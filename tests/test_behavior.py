@@ -144,11 +144,13 @@ def test_empty_trace_never_started(airport, airport_chronology):
 def test_unknown_event_in_trace(airport_chronology):
     v = evaluate_trace(airport_chronology, trace_of("E1", "E99"))
     assert v.violation == UnknownEventOccurred("E99")
+    assert v.summary() == "FALSE reason=UnknownEvent(E99)"
 
 
 def test_prefix_trace_misses_a_successor(airport_chronology):
     v = evaluate_trace(airport_chronology, trace_of("E1", "E3", "E4"))
     assert v.violation == MissingSuccessor("E4")
+    assert v.summary() == "FALSE reason=MissingSuccessor(E4)"
 
 
 def test_thread_that_never_started_is_rejected(airport_chronology):
@@ -174,6 +176,10 @@ def test_equal_timestamps_on_concurrent_pair_accepted():
 def test_malformed_trace_is_a_caller_error(airport_chronology):
     with pytest.raises(MalformedTrace):
         evaluate_trace(airport_chronology, Trace("t", (("E1", 3), ("E3", 1))))
+    # the parser reads no sign, so only a trace built in code has a negative stamp
+    with pytest.raises(MalformedTrace) as err:
+        evaluate_trace(airport_chronology, Trace("t", (("E1", -1),)))
+    assert str(err.value) == "malformed trace 't': negative timestamp for 'E1'"
 
 
 def test_window_violation():
@@ -182,6 +188,7 @@ def test_window_violation():
     assert evaluate_trace(b, Trace("t", (("a", 3), ("z", 9)))).truth
     v = evaluate_trace(b, Trace("t", (("a", 0), ("z", 9))))
     assert v.violation == WindowViolation("a")
+    assert v.summary() == "FALSE reason=WindowViolation(a)"
 
 
 def test_evaluation_is_deterministic(airport, airport_chronology):

@@ -288,6 +288,34 @@ def test_check_reads_a_declaration_no_further_than_its_tokens_go(tmp_path, capsy
     assert err.splitlines() == [f"{path}:{d}" for d in diagnostics] + [f"tmkit: {path}: parse failed"]
 
 
+_TWO_CHRONOLOGIES = (
+    'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
+    "event A = s\nevent B = s\nchronology c { exclusive g { A | B }; }\nchronology d { A -> B; }\n"
+    "trace t = [ A @ 0 ]\n"
+)
+# arguments after the file that the document cannot take, with the exit status and stderr
+PICKS = {
+    "two chronologies and no --chronology": (["runs"], 2, "tmkit: document has 2 chronologies; pass --chronology\n"),
+    "an unknown --chronology": (["runs", "--chronology", "e"], 2, "tmkit: no chronology 'e' (have: c, d)\n"),
+    "an unknown --trace": (["evaluate", "--chronology", "d", "--trace", "u"], 2, "tmkit: no trace 'u' (have: t)\n"),
+    "a --choose without '='": (["simulate", "--chronology", "c", "--choose", "g"], 2, "tmkit: --choose takes group=event, got 'g'\n"),
+    "render --highlight of an unknown id": (["render", "--highlight", "ghost"], 2, "tmkit: cannot highlight unknown id(s): ghost\n"),
+    "choices that rule out every enabled event": (
+        ["simulate", "--chronology", "c", "--choose", "g=C"],
+        1,
+        "tmkit: the scripted choices rule out every enabled event\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PICKS))
+def test_arguments_the_document_cannot_take_exit_with_one_line(tmp_path, capsys, case):
+    (command, *rest), status, err = PICKS[case]
+    path = tmp_path / "two.tm"
+    path.write_text(_TWO_CHRONOLOGIES)
+    assert run_cli(capsys, command, str(path), *rest) == (status, "", err)
+
+
 @pytest.mark.parametrize("command", ["runs", "simulate"])
 def test_a_document_without_chronologies_is_invalid_input(capsys, command):
     status, out, err = run_cli(capsys, command, fixture_path("empty.tm"))

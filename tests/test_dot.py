@@ -1,11 +1,12 @@
 import re
+from dataclasses import replace
 
 import pytest
 
 from tmkit.dot import Level, RenderOptions, to_dot
 from tmkit.errors import UnknownHighlightId
 from tmkit.model import build_model
-from tmkit.syntax import Document
+from tmkit.syntax import Document, parse_text
 
 
 
@@ -85,3 +86,60 @@ def test_no_ids_are_gathered_when_nothing_is_highlighted(airport, monkeypatch):
     monkeypatch.setattr("tmkit.dot._known_ids", lambda doc: pytest.fail("gathered the ids of a render with no highlight"))
     for level in Level:
         to_dot(airport, RenderOptions(level=level))
+
+
+# a memory thimac inside another, one arc, and a chronology of two events
+_SMALL = parse_text(
+    'model m {\n  thimac a "A" { stages: create, release; thimac box "Box" { stages: process, memory; } }\n'
+    '  flow f: a.create -> a.release;\n}\nsubdiagram s "Made" { stages: a.create; }\n'
+    "event E1 = s\nevent E2 = s\nchronology c { E1 -> E2; }\n"
+).document
+
+
+def test_flat_static_dot_draws_no_clusters_and_marks_memory():
+    assert to_dot(_SMALL, RenderOptions(clusters=False)) == (
+        'digraph "m" {\n'
+        "  compound=true;\n"
+        "  node [shape=box];\n"
+        '  "a.create" [label="create"];\n'
+        '  "a.release" [label="release"];\n'
+        '  "box.process" [label="process"];\n'
+        "  // memory\n"
+        '  "a.create" -> "a.release" [style=solid, tooltip="f"];\n'
+        "}\n"
+    )
+
+
+def test_a_memory_thimac_is_marked_inside_its_cluster():
+    assert to_dot(_SMALL, RenderOptions()) == (
+        'digraph "m" {\n'
+        "  compound=true;\n"
+        "  node [shape=box];\n"
+        '  subgraph "cluster_a" {\n'
+        '    label="A";\n'
+        '    "a.create" [label="create"];\n'
+        '    "a.release" [label="release"];\n'
+        '    subgraph "cluster_box" {\n'
+        '      label="Box";\n'
+        '      "box.process" [label="process"];\n'
+        "      // memory\n"
+        "    }\n"
+        "  }\n"
+        '  "a.create" -> "a.release" [style=solid, tooltip="f"];\n'
+        "}\n"
+    )
+
+
+def test_behavior_dot_highlights_an_event_and_its_edges():
+    assert to_dot(_SMALL, RenderOptions(level=Level.BEHAVIOR, highlight=frozenset({"E1"}))) == (
+        'digraph "c" {\n'
+        "  node [shape=box];\n"
+        '  "E1" [label="E1: Made", color=red, penwidth=2];\n'
+        '  "E2" [label="E2: Made"];\n'
+        '  "E1" -> "E2" [color=red, penwidth=2];\n'
+        "}\n"
+    )
+
+
+def test_behavior_dot_of_a_document_without_chronologies_is_one_empty_digraph():
+    assert to_dot(replace(_SMALL, chronologies=()), RenderOptions(level=Level.BEHAVIOR)) == 'digraph "behavior" {\n}\n'

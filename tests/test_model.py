@@ -11,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmkit.errors import DuplicateId, UnresolvedStageRef
+from tmkit.dot import to_dot
+from tmkit.errors import BoundExceeded, DuplicateId, UnresolvedStageRef
 from tmkit.model import (
+    MAX_NESTING,
     Arc,
     ArcKind,
+    Notation,
     StageKind,
     StageRef,
     StaticModel,
@@ -23,6 +26,7 @@ from tmkit.model import (
     models_isomorphic,
 )
 from tmkit.syntax import Document, parse_text, print_document
+from tmkit.validate import desugar
 
 from conftest import load
 from genutil import fresh_id, random_model
@@ -107,6 +111,30 @@ def test_build_model_keeps_the_records_it_is_given():
     assert model.roots[0].children[0] is inner
 
 
+def nested(depth):
+    """A root thimac over a chain of children, ``depth`` thimacs deep in all."""
+    t = Thimac(f"t{depth}", "T")
+    for i in range(depth - 1, 0, -1):
+        t = Thimac(f"t{i}", "T", children=(t,))
+    return t
+
+
+def test_build_model_refuses_a_model_deeper_than_the_recursion_limit_with_a_typed_error():
+    # print_document, to_dot, desugar and hash would recurse past the limit on this model
+    with pytest.raises(BoundExceeded) as err:
+        build_model("m", [nested(5000)])
+    assert str(err.value) == f"thimacs nest more than {MAX_NESTING} deep"
+
+
+def test_a_model_nested_to_the_limit_builds_prints_and_reparses():
+    model = build_model("m", [nested(MAX_NESTING)], (), Notation.SIMPLIFIED)
+    doc = Document(model)
+    reparsed = parse_text(print_document(doc)).document
+    assert reparsed == doc and hash(reparsed.model.roots[0]) == hash(model.roots[0])
+    assert to_dot(doc).count("subgraph") == MAX_NESTING
+    assert desugar(model).roots == model.roots
+
+
 C, P, FLOW = StageKind.CREATE, StageKind.PROCESS, ArcKind.FLOW
 A_C, A_P, B_C = StageRef("a", C), StageRef("a", P), StageRef("b", C)
 _A, _B = Thimac("a", "A", frozenset({C, P})), Thimac("b", "B", frozenset({C}))
@@ -128,6 +156,17 @@ FIRST_ERRORS = {
         [_A],
         [Arc("g", FLOW, StageRef("ghost", C), StageRef("phantom", P))],
         (UnresolvedStageRef, "arc 'g' references unknown stage ghost.create", 5, 8),
+    ),
+    # the token parser refuses the thimac past the limit as it reads it, before build_model runs
+    "nesting past the limit": (
+        [nested(MAX_NESTING + 1)],
+        [],
+        (BoundExceeded, f"thimacs nest more than {MAX_NESTING} deep", 102, 203),
+    ),
+    "nesting past the limit wins over an earlier duplicate thimac": (
+        [_A, _A, nested(MAX_NESTING + 1)],
+        [],
+        (BoundExceeded, f"thimacs nest more than {MAX_NESTING} deep", 108, 203),
     ),
     "an unresolved arc comes before a later duplicate of its id": (
         [_A],

@@ -13,8 +13,8 @@ from tmkit import reader, syntax
 from tmkit.model import StageKind
 from tmkit.syntax import SourceFile, _Parser, parse, parse_text, print_document
 
-from conftest import FIXTURES
-from genutil import random_document
+from conftest import FIXTURES, declaration_spans
+from genutil import mutated, random_document
 from oracles import first_declarations
 from strategies import spliced_fixtures
 
@@ -65,39 +65,6 @@ def generated(rng: random.Random) -> list[str]:
     """Small documents of the benchmark's shapes: windows, exclusive groups, traces."""
     chain = gen.chain(rng, rng.randint(1, 4))
     return [chain.text, chain.simplified_text, gen.branchy(rng, rng.randint(1, 3)).text]
-
-
-# pieces that open, close or extend a token, and words the grammar gives a meaning
-PIECES = [
-    "#", "# c\n", "\n", " ", "\t", "\r", "\f", '"', "\\", '\\"', "->", "-", "..", ".", ",", ";", ":", "{", "}",
-    "[", "]", "|", "@", "=", "0", "07", "9" * 4400, "x1", "x2", "é", "²", "Ⅻ", "٣", "_", "model", "simplified",
-    "thimac", "stages", "things", "memory", "create", "process", "flow", "trigger", "subdiagram", "arcs",
-    "event", "window", "chronology", "events", "exclusive", "start", "end", "trace",
-]
-
-
-def mutated(rng: random.Random, text: str) -> str:
-    """``text`` with one to three random edits: a piece inserted, a span deleted,
-    duplicated or moved, or a line repeated."""
-    for _ in range(rng.randint(1, 3)):
-        at, width = rng.randint(0, len(text)), rng.randint(1, 12)
-        edit = rng.randrange(5)
-        if edit == 0:
-            text = text[:at] + rng.choice(PIECES) + text[at:]
-        elif edit == 1:
-            text = text[:at] + text[at + width :]
-        elif edit == 2:
-            text = text[:at] + text[at : at + width] + text[at:]
-        elif edit == 3:
-            piece, rest = text[at : at + width], text[:at] + text[at + width :]
-            to = rng.randint(0, len(rest))
-            text = rest[:to] + piece + rest[to:]
-        else:
-            lines = text.split("\n")
-            i = rng.randrange(len(lines))
-            lines.insert(rng.randint(0, len(lines)), lines[i])
-            text = "\n".join(lines)
-    return text
 
 
 def test_the_reader_reads_every_fixture_as_the_token_parser_does():
@@ -174,9 +141,10 @@ def test_a_clean_document_never_reaches_the_token_parser(monkeypatch):
     wanted = [_Parser(SourceFile("f.tm", text)).document() for text in texts]
     monkeypatch.setattr(syntax, "_Parser", refuse)
     for text, want in zip(texts, wanted):
-        res = parse_text(text, path="f.tm")
+        src = SourceFile("f.tm", text)
+        res = parse(src)
         assert res.document == want and res.diagnostics == []
-        assert dict(res.document.spans) == first_declarations(text), text
+        assert declaration_spans(src, res.document) == first_declarations(text), text
 
 
 def test_the_reader_builds_its_model_with_the_syntax_modules_build_model(monkeypatch):

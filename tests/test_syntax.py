@@ -8,9 +8,10 @@ from hypothesis import given, settings
 
 from tmkit import diagnostics as dg
 from tmkit.cli import main
-from tmkit.syntax import MAX_NESTING, SourceFile, _Parser, parse, parse_text, print_document
+from tmkit.model import MAX_NESTING
+from tmkit.syntax import SourceFile, _Parser, parse, parse_text, print_document
 
-from conftest import FIXTURES, LONG_INTEGERS, load
+from conftest import FIXTURES, LONG_INTEGERS, declaration_spans, load
 from genutil import random_document
 from oracles import first_declarations, tokenize_by_chars
 from strategies import spliced_fixtures
@@ -187,8 +188,9 @@ def test_escaped_newline_in_a_string_ends_a_line():
         "s.tm:3:6: error: E-SYNTAX: expected stages, things or thimac, found 'junk'"
     ]
     # the reader reads the document without the error, and places what follows the label
-    doc = parse_text('model m {\n  thimac a "A\\\nB" { }\n  thimac b "B" { }\n}', path="s.tm").document
-    assert doc.model.roots[0].label == "A\nB" and str(doc.spans["b"]) == "s.tm:4:10"
+    src = SourceFile("s.tm", 'model m {\n  thimac a "A\\\nB" { }\n  thimac b "B" { }\n}')
+    doc = parse(src).document
+    assert doc.model.roots[0].label == "A\nB" and str(src.span(doc.spans["b"])) == "s.tm:4:10"
 
 
 @pytest.mark.parametrize(
@@ -355,14 +357,15 @@ def test_model_errors_are_placed_at_the_declaration_they_name(case):
     p = _Parser(SourceFile("m.tm", text))
     assert p.document() is None
     assert [str(d) for d in p.diags] == [f"m.tm:{diagnostic}"]
-    assert (p.spans[element].line, p.spans[element].col) == (line, col)
+    span = p.src.span(p.first[element])
+    assert (span.line, span.col) == (line, col)
 
 
 def lexed(text):
     """(tokens, diagnostics) of the parser's tokenizer and of the character
     loop, tokens as (kind, text, line, col) and diagnostics as printed."""
     p = _Parser(SourceFile("f.tm", text))
-    spans = [p.spans.at(start) for start in p.starts]
+    spans = [p.src.span(start) for start in p.starts]
     got = ([(k, t, s.line, s.col) for k, t, s in zip(p.kinds, p.texts, spans, strict=True)], [str(d) for d in p.diags])
     diags = []
     want = (tokenize_by_chars("f.tm", text, diags), [str(d) for d in diags])
@@ -402,10 +405,11 @@ def test_tokenizer_agrees_with_the_character_loop_on_comments(text):
 def test_tokenizer_agrees_with_the_character_loop_on_spliced_fixtures(text):
     got, want = lexed(text)
     assert got == want
-    res = parse_text(text, path="f.tm")  # must not raise
+    src = SourceFile("f.tm", text)
+    res = parse(src)  # must not raise
     assert res.document is not None or res.diagnostics
     if res.document is not None:
-        assert res.document.spans == first_declarations(text)
+        assert declaration_spans(src, res.document) == first_declarations(text)
 
 
 @settings(max_examples=40, deadline=None)
@@ -430,14 +434,15 @@ def test_declaration_spans_point_at_the_first_declaration_of_their_ids():
                  'subdiagram a "S" { stages: a.create; }\nsubdiagram s "S" { stages: a.create; }\nevent a = a\nevent s = s\n'
                  'chronology a { events: a; }\nchronology s { events: s; }\ntrace a = [ a @ 0 ]\ntrace s = [ s @ 0 ]\n')
     for text in texts:
-        doc = parse_text(text, path="f.tm").document
-        assert doc.spans == first_declarations(text), text
+        src = SourceFile("f.tm", text)
+        assert declaration_spans(src, parse(src).document) == first_declarations(text), text
 
 
 def test_a_clean_parse_computes_no_position_until_one_is_read():
     text = (FIXTURES / "airport.tm").read_text(encoding="utf-8")
-    doc = parse_text(text, path="f.tm").document
-    assert "newlines" not in vars(doc.spans)
-    assert doc.spans == first_declarations(text) and "newlines" in vars(doc.spans)
+    src = SourceFile("f.tm", text)
+    doc = parse(src).document
+    assert "_newlines" not in vars(src)
+    assert declaration_spans(src, doc) == first_declarations(text) and "_newlines" in vars(src)
     with pytest.raises(TypeError):
-        doc.spans["E1"] = dg.Span()
+        doc.spans["E1"] = 0

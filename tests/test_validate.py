@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -14,6 +15,7 @@ from tmkit.model import (
     build_model,
     models_isomorphic,
 )
+from tmkit.syntax import parse_text, print_document
 from tmkit.validate import desugar, validate_static
 
 from conftest import load
@@ -165,3 +167,42 @@ def test_desugar_output_passes_full_validation_random():
         assert validate_static(m) == [], (i, validate_static(m))
         full = desugar(m)
         assert validate_static(full) == [], (i, validate_static(full))
+
+
+def test_desugar_expands_flows_out_of_transfer_and_into_each_entry_stage():
+    text = (
+        "model m simplified {\n"
+        '  thimac a "A" { stages: process, release, transfer; }\n'
+        '  thimac b "B" { stages: process, transfer, receive; }\n'
+        '  thimac c "C" { stages: process, arrive, accept; }\n'
+        "  flow f: a.transfer -> b.process;\n"  # out of a transfer stage
+        "  flow g: a.process -> b.transfer;\n"  # into transfer
+        "  flow h: a.process -> b.receive;\n"  # into receive: every hop is there already
+        "  flow i: b.process -> c.arrive;\n"  # into arrive
+        "  flow j: b.process -> c.accept;\n"  # into accept: no simplified move, yet a full chain
+        "  flow k: c.accept -> c.process;\n"
+        "  flow f_x1: a.process -> a.release;\n"  # the first id generated for f is taken
+        "}\n"
+    )
+    doc = parse_text(text).document
+    assert codes(validate_static(doc.model)) == [dg.FLOW_ILLEGAL]
+    full = desugar(doc.model)
+    assert print_document(replace(doc, model=full)) == (
+        "model m {\n"
+        '  thimac a "A" {\n    stages: process, release, transfer;\n  }\n'
+        '  thimac b "B" {\n    stages: process, release, transfer, receive;\n  }\n'
+        '  thimac c "C" {\n    stages: process, transfer, arrive, accept;\n  }\n'
+        "  flow f_x2: a.transfer -> b.transfer;\n"
+        "  flow f_x3: b.transfer -> b.receive;\n"
+        "  flow f_x4: b.receive -> b.process;\n"
+        "  flow g_x1: a.release -> a.transfer;\n"
+        "  flow i_x1: b.process -> b.release;\n"
+        "  flow i_x2: b.release -> b.transfer;\n"
+        "  flow i_x3: b.transfer -> c.transfer;\n"
+        "  flow i_x4: c.transfer -> c.arrive;\n"
+        "  flow j_x1: c.arrive -> c.accept;\n"
+        "  flow k: c.accept -> c.process;\n"
+        "  flow f_x1: a.process -> a.release;\n"
+        "}\n"
+    )
+    assert validate_static(full) == []
