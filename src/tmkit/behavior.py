@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import AbstractSet, Callable, Hashable, Iterable, Iterator, Optional, TypeVar, Union
+from typing import AbstractSet, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
 from .events import Event
@@ -53,6 +53,17 @@ class ChronologyDecl:
         return frozenset(ids)
 
 
+_NO_EVENTS: frozenset[str] = frozenset()
+
+
+def _index(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
+    """Each first member of ``pairs`` with the set of its second members."""
+    m: dict[str, set[str]] = {}
+    for u, v in pairs:
+        m.setdefault(u, set()).add(v)
+    return {u: frozenset(vs) for u, vs in m.items()}
+
+
 @dataclass(frozen=True)
 class Chronology:
     id: str
@@ -64,29 +75,23 @@ class Chronology:
     # per-event time windows, carried over from the event declarations
     windows: tuple[tuple[str, tuple[int, int]], ...] = ()
 
-    def successors(self, event_id: str) -> set[str]:
-        return self._succ.get(event_id, set())
+    def successors(self, event_id: str) -> frozenset[str]:
+        return self._succ.get(event_id, _NO_EVENTS)
 
-    def predecessors(self, event_id: str) -> set[str]:
-        return self._pred.get(event_id, set())
+    def predecessors(self, event_id: str) -> frozenset[str]:
+        return self._pred.get(event_id, _NO_EVENTS)
 
     def window_of(self, event_id: str) -> Optional[tuple[int, int]]:
         return self._windows.get(event_id)
 
-    # Lazy indices; the chronology is frozen so they are computed once.
+    # Lazy indices; the chronology is frozen so they are computed once, and frozen too.
     @cached_property
-    def _succ(self) -> dict[str, set[str]]:
-        m: dict[str, set[str]] = {}
-        for u, v in self.edges:
-            m.setdefault(u, set()).add(v)
-        return m
+    def _succ(self) -> dict[str, frozenset[str]]:
+        return _index(self.edges)
 
     @cached_property
-    def _pred(self) -> dict[str, set[str]]:
-        m: dict[str, set[str]] = {}
-        for u, v in self.edges:
-            m.setdefault(v, set()).add(u)
-        return m
+    def _pred(self) -> dict[str, frozenset[str]]:
+        return _index((v, u) for u, v in self.edges)
 
     @cached_property
     def _windows(self) -> dict[str, tuple[int, int]]:
@@ -105,7 +110,7 @@ class Chronology:
     def _search_index(self) -> tuple[list[str], list[list[int]], list[list[int]], list[list[int]], list[bool], list[bool]]:
         """search_runs' index, which nothing forced changes: the events in topological order and,
         by position, their predecessors, rivals and sorted successors, and whether each is a start and an end."""
-        order, _ = topological_order(sorted(self.events), self.edges, str)
+        order, _ = topological_order(sorted(self.events), self.edges)
         at = {e: i for i, e in enumerate(order)}
         preds: list[list[int]] = [[] for _ in order]
         succs: list[list[int]] = [[] for _ in order]
@@ -248,7 +253,7 @@ def build_chronology(events: Iterable[Event], decl: ChronologyDecl) -> Chronolog
         if ev not in known:
             raise UnknownEvent(f"chronology '{decl.id}' references undeclared event '{ev}'")
 
-    _, leftover = topological_order(sorted(mentioned), decl.edges, str)
+    _, leftover = topological_order(sorted(mentioned), decl.edges)
     if leftover:
         raise CycleDetected(_cycle_among(leftover, decl.edges))
 
@@ -280,31 +285,31 @@ def build_chronology(events: Iterable[Event], decl: ChronologyDecl) -> Chronolog
 _Node = TypeVar("_Node", bound=Hashable)
 
 
-def topological_order(
-    nodes: Iterable[_Node], edges: Iterable[tuple[_Node, _Node]], key: Callable[[_Node], object]
-) -> tuple[list[_Node], list[_Node]]:
-    """Kahn's walk over ``nodes``, taking the ready node of smallest key first.
+def topological_order(nodes: Sequence[_Node], edges: Iterable[tuple[_Node, _Node]]) -> tuple[list[_Node], list[_Node]]:
+    """Kahn's walk over the distinct ``nodes``, taking first the ready node
+    that comes first in ``nodes``.
 
     Edges with an endpoint outside ``nodes`` are ignored. Returns the ordered
     nodes and the left-over ones (on or behind a cycle) in ``nodes`` order.
     """
-    pending = {n: 0 for n in nodes}
-    succ: dict[_Node, list[_Node]] = {n: [] for n in pending}
+    at = {n: i for i, n in enumerate(nodes)}
+    pending = [0] * len(at)
+    succ: list[list[int]] = [[] for _ in pending]
     for u, v in edges:
-        if u in pending and v in pending:
-            succ[u].append(v)
-            pending[v] += 1
-    ready = [(key(n), n) for n, count in pending.items() if count == 0]
-    heapq.heapify(ready)
+        i, j = at.get(u), at.get(v)
+        if i is not None and j is not None:
+            succ[i].append(j)
+            pending[j] += 1
+    ready = [i for i, count in enumerate(pending) if not count]  # ascending, so already a heap
     order: list[_Node] = []
     while ready:
-        _, n = heapq.heappop(ready)
-        order.append(n)
-        for s in succ[n]:
-            pending[s] -= 1
-            if pending[s] == 0:
-                heapq.heappush(ready, (key(s), s))
-    return order, [n for n, count in pending.items() if count]
+        i = heapq.heappop(ready)
+        order.append(nodes[i])
+        for j in succ[i]:
+            pending[j] -= 1
+            if not pending[j]:
+                heapq.heappush(ready, j)
+    return order, [n for n, count in zip(nodes, pending) if count]
 
 
 def _cycle_among(leftover: list[str], edges: Iterable[tuple[str, str]]) -> list[str]:
@@ -406,7 +411,7 @@ def run_set_valid(chronology: Chronology, occurred: frozenset[str]) -> bool:
 
 def canonical_order(chronology: Chronology, occurred: frozenset[str]) -> tuple[str, ...]:
     """One deterministic topological order of a run set (id-sorted ties)."""
-    order, _ = topological_order(occurred, chronology.edges, str)
+    order, _ = topological_order(sorted(occurred), chronology.edges)
     return tuple(order)
 
 
@@ -444,9 +449,12 @@ def search_runs(
         succs = [[s for s in succ if order[s] in closable] for succ in all_succs]
     # (p, p's other successors in succs) for each unfinished p whose last one this is
     last_chance: list[list[tuple[int, list[int]]]] = [[] for _ in order]
+    # whether order[p] is an end or has a successor with no rival, which no inclusion can bar
+    closing: list[bool] = []
     for p, succ in enumerate(succs):
         if succ and not endable[p]:
             last_chance[succ[-1]].append((p, succ[:-1]))
+        closing.append(endable[p] or not all(map(rivals.__getitem__, succ)))
 
     taken: list[bool] = []  # the decision for order[i] is taken[i]
 
@@ -458,15 +466,17 @@ def search_runs(
 
     def choices(i: int) -> list[tuple[int, bool]]:
         out = []
-        if order[i] not in forced_in and not any(
-            taken[p] and not any(map(was_taken, others)) for p, others in last_chance[i]
-        ):
-            out.append((i, False))
+        if order[i] not in forced_in:
+            for p, others in last_chance[i]:
+                if taken[p] and not any(map(was_taken, others)):
+                    break
+            else:
+                out.append((i, False))
         if (
             order[i] not in forced_out
             and (startable[i] or any(map(was_taken, preds[i])))
-            and free(i, i)
-            and (endable[i] or any(free(s, i) for s in succs[i]))
+            and (not rivals[i] or free(i, i))
+            and (closing[i] or any(free(s, i) for s in succs[i]))
         ):
             out.append((i, True))
         return out

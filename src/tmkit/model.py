@@ -94,7 +94,10 @@ class Thimac:
 
 @dataclass(frozen=True)
 class StaticModel:
-    """The static diagram: all states of affairs, without time."""
+    """The static diagram: all states of affairs, without time. The
+    constructor checks nothing: only build_model bounds nesting, and a deeper
+    model made by the constructor makes tree walks, == and hash raise
+    RecursionError."""
 
     name: str
     roots: tuple[Thimac, ...] = ()

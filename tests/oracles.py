@@ -2,8 +2,9 @@
 library functions, kept apart from the code they check."""
 from __future__ import annotations
 
+import heapq
 from collections import Counter
-from typing import Iterator
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 from tmkit import diagnostics as dg
 from tmkit.behavior import Chronology, canonical_order, run_set_valid
@@ -39,6 +40,38 @@ def enumerate_runs_by_subsets(chronology: Chronology, bound: int = 10_000) -> li
                 raise BoundExceeded(f"chronology '{chronology.id}' has more than {bound} runs")
     runs.sort(key=lambda r: (len(r), r))
     return runs
+
+
+_Node = TypeVar("_Node", bound=Hashable)
+
+
+def topological_order_by_key(
+    nodes: Iterable[_Node], edges: Iterable[tuple[_Node, _Node]], key: Callable[[_Node], object]
+) -> tuple[list[_Node], list[_Node]]:
+    """Kahn's walk over ``nodes``, taking the ready node of smallest key first.
+
+    Edges with an endpoint outside ``nodes`` are ignored. Returns the ordered
+    nodes and the left-over ones (on or behind a cycle) in ``nodes`` order.
+    The keyed walk that ``tmkit.behavior.topological_order`` replaced, kept
+    as its differential oracle: keyed by position in ``nodes``, the two agree.
+    """
+    pending = {n: 0 for n in nodes}
+    succ: dict[_Node, list[_Node]] = {n: [] for n in pending}
+    for u, v in edges:
+        if u in pending and v in pending:
+            succ[u].append(v)
+            pending[v] += 1
+    ready = [(key(n), n) for n, count in pending.items() if count == 0]
+    heapq.heapify(ready)
+    order: list[_Node] = []
+    while ready:
+        _, n = heapq.heappop(ready)
+        order.append(n)
+        for s in succ[n]:
+            pending[s] -= 1
+            if pending[s] == 0:
+                heapq.heappush(ready, (key(s), s))
+    return order, [n for n, count in pending.items() if count]
 
 
 def enabled_events_by_runs(state, runs: list[frozenset[str]]) -> list[str]:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tmkit.behavior as behavior
 from tmkit.behavior import (
@@ -22,13 +23,14 @@ from tmkit.behavior import (
     evaluate_trace,
     run_set_valid,
     search_runs,
+    topological_order,
 )
 from tmkit.errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
 from tmkit.events import Event
 
 from conftest import load
 from genutil import random_chronology
-from oracles import enumerate_runs_by_subsets
+from oracles import enumerate_runs_by_subsets, topological_order_by_key
 from strategies import declared_chronologies
 
 AIRPORT_RUNS = [
@@ -93,6 +95,33 @@ def test_cycle_witness_is_a_closed_walk_over_declared_edges():
         cycle = err.value.cycle
         assert len(cycle) >= 2 and cycle[0] == cycle[-1], (edges, cycle)
         assert all(edge in edges for edge in zip(cycle, cycle[1:])), (edges, cycle)
+
+
+@st.composite
+def walk_inputs(draw):
+    """Distinct nodes in a drawn order, and edges over a larger alphabet: some
+    endpoints lie outside the nodes, and the edges may close cycles."""
+    names = [f"n{i}" for i in range(12)]
+    nodes = draw(st.lists(st.sampled_from(names), unique=True, max_size=9))
+    edges = draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)), max_size=20))
+    return nodes, edges
+
+
+@given(walk_inputs())
+@settings(max_examples=500, deadline=None)
+def test_the_walk_breaks_ties_by_position_as_the_keyed_walk_did(inputs):
+    nodes, edges = inputs
+    assert topological_order(nodes, edges) == topological_order_by_key(nodes, edges, nodes.index)
+
+
+def test_the_chronology_index_cannot_be_changed_through_its_readers():
+    chron = build_chronology([Event(e, "s") for e in "ABC"], ChronologyDecl("c", ("A", "B", "C"), (("A", "B"),)))
+    for handed_out in (chron.successors("A"), chron.predecessors("B"), chron.successors("C")):
+        with pytest.raises(AttributeError):
+            handed_out.add("C")
+    assert chron.successors("A") == {"B"} and chron.predecessors("B") == {"A"}
+    # an event with none shares one empty set
+    assert chron.successors("C") is chron.predecessors("A") is chron.successors("B")
 
 
 def test_single_event_defaults_to_start_and_end():

@@ -2,7 +2,11 @@
 
 Each row counts the calls one layer makes on ``gen.chain`` (seed 1) at four
 doubling sizes, fits the slope of log(calls) against log(size) and asserts that
-it is at most the row's bound. Counted work is deterministic where timings on a
+it is at most the row's bound. Chain has a single run, so the run layers have
+rows of their own on ``gen.branchy`` (seed 1), whose run count doubles with
+each diamond; their size is the events of all runs together, since each run
+of k diamonds holds 2k + 1 events and a linear layer does a little work per
+event of each run. Counted work is deterministic where timings on a
 shared host are not; trend-prof fits its power laws to counts for the same
 reason (Goldsmith, Aiken & Wilkerson, "Measuring empirical computational
 complexity", 2007).
@@ -24,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from tmkit.behavior import build_chronology, evaluate_trace
+from tmkit.behavior import build_chronology, enumerate_runs, evaluate_trace
 from tmkit.dot import Level, RenderOptions, to_dot
 from tmkit.events import check_subdiagram, coverage, eventize
 from tmkit.model import build_model, models_isomorphic
@@ -121,3 +125,35 @@ def test_a_linear_layer_stays_linear_on_chain(layer):
     counts = [LAYERS[layer](*chain(n)) for n in SIZES]
     assert counts == sorted(counts) and counts[0] > 0, counts
     assert slope(SIZES, counts) <= SLOPE_BOUND, dict(zip(SIZES, counts))
+
+
+DIAMONDS = (3, 4, 5, 6)  # 8 to 64 runs
+
+
+@cache
+def branchy(diamonds: int) -> tuple[gen.BranchyDoc, Document]:
+    b = gen.branchy(random.Random(1), diamonds)
+    doc = parse(SourceFile("branchy.tm", b.text)).document
+    assert doc is not None
+    return b, doc
+
+
+def _evaluate_true_traces(b: gen.BranchyDoc, doc: Document) -> int:
+    chron = build_chronology(doc.events, doc.chronologies[0])
+    traces = [t for t in doc.traces if t.id in b.true_traces]  # one per run
+    return count_calls(lambda: [evaluate_trace(chron, t) for t in traces])
+
+
+# the calls each run layer makes on one branchy document, from a fresh chronology
+RUN_LAYERS = {
+    "behavior.enumerate_runs": lambda b, doc: count_calls(enumerate_runs, build_chronology(doc.events, doc.chronologies[0])),
+    "behavior.evaluate_trace": _evaluate_true_traces,
+}
+
+
+@pytest.mark.parametrize("layer", RUN_LAYERS)
+def test_a_run_layer_stays_linear_in_the_runs_on_branchy(layer):
+    sizes = [sum(map(len, branchy(k)[0].runs)) for k in DIAMONDS]
+    counts = [RUN_LAYERS[layer](*branchy(k)) for k in DIAMONDS]
+    assert counts == sorted(counts) and counts[0] > 0, counts
+    assert slope(sizes, counts) <= SLOPE_BOUND, dict(zip(sizes, counts))
