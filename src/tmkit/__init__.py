@@ -7,7 +7,6 @@ produces conforming traces, and a DOT emitter renders all three views.
 """
 from .behavior import (
     Chronology,
-    ChronologyDecl,
     ExclusiveGroup,
     Trace,
     Verdict,
@@ -41,7 +40,6 @@ __all__ = [
     "ArcKind",
     "BranchPolicy",
     "Chronology",
-    "ChronologyDecl",
     "CoverageReport",
     "Diagnostic",
     "Document",

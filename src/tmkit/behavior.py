@@ -10,9 +10,9 @@ evaluation can never regress or change its answer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import AbstractSet, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
@@ -30,29 +30,6 @@ class ExclusiveGroup:
         return "{" + "|".join(sorted(self.members)) + "}"
 
 
-@dataclass(frozen=True)
-class ChronologyDecl:
-    """A chronology as written: resolved and validated by build_chronology."""
-
-    id: str
-    event_ids: tuple[str, ...] = ()
-    edges: tuple[tuple[str, str], ...] = ()
-    groups: tuple[ExclusiveGroup, ...] = ()
-    starts: Optional[tuple[str, ...]] = None
-    ends: Optional[tuple[str, ...]] = None
-
-    def mentioned(self) -> frozenset[str]:
-        """Every event id the declaration names, in any of its items."""
-        ids = set(self.event_ids)
-        for edge in self.edges:
-            ids.update(edge)
-        for g in self.groups:
-            ids.update(g.members)
-        ids.update(self.starts or ())
-        ids.update(self.ends or ())
-        return frozenset(ids)
-
-
 _NO_EVENTS: frozenset[str] = frozenset()
 
 
@@ -66,14 +43,39 @@ def _index(pairs: Iterable[tuple[str, str]]) -> dict[str, frozenset[str]]:
 
 @dataclass(frozen=True)
 class Chronology:
+    """A chronology as written, and the time windows of its events.
+
+    ``start`` and ``end`` are None when the chronology states none; ``starts``
+    and ``ends`` resolve them. The constructor checks nothing: only
+    build_chronology rejects unknown events, cycles and edges inside an
+    exclusive group, and gives the record its windows. A record that has not
+    been through it has no windows and may hold a cycle.
+    """
+
     id: str
-    events: frozenset[str]
-    edges: frozenset[tuple[str, str]]
-    groups: tuple[ExclusiveGroup, ...]
-    starts: frozenset[str]
-    ends: frozenset[str]
+    event_ids: tuple[str, ...] = ()
+    edges: tuple[tuple[str, str], ...] = ()
+    groups: tuple[ExclusiveGroup, ...] = ()
+    start: Optional[tuple[str, ...]] = None
+    end: Optional[tuple[str, ...]] = None
     # per-event time windows, carried over from the event declarations
     windows: tuple[tuple[str, tuple[int, int]], ...] = ()
+
+    @cached_property
+    def events(self) -> frozenset[str]:
+        """Every event id the chronology names, in any of its items."""
+        items = (self.event_ids, chain.from_iterable(self.edges), *(g.members for g in self.groups), self.start or (), self.end or ())
+        return frozenset(chain.from_iterable(items))
+
+    @cached_property
+    def starts(self) -> frozenset[str]:
+        """The stated start events, by default those no edge leads to."""
+        return self.events - {v for _, v in self.edges} if self.start is None else frozenset(self.start)
+
+    @cached_property
+    def ends(self) -> frozenset[str]:
+        """The stated end events, by default those no edge leaves."""
+        return self.events - {u for u, _ in self.edges} if self.end is None else frozenset(self.end)
 
     def successors(self, event_id: str) -> frozenset[str]:
         return self._succ.get(event_id, _NO_EVENTS)
@@ -114,7 +116,7 @@ class Chronology:
         at = {e: i for i, e in enumerate(order)}
         preds: list[list[int]] = [[] for _ in order]
         succs: list[list[int]] = [[] for _ in order]
-        for u, v in self.edges:
+        for u, v in dict.fromkeys(self.edges):  # an edge stated twice is one edge
             preds[at[v]].append(at[u])
             succs[at[u]].append(at[v])
         for succ in succs:
@@ -166,51 +168,44 @@ def check_trace_shape(trace: Trace) -> Optional[str]:
 # --- Verdicts ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NotStarted:
+class _Reason:
+    """A verdict's reason prints as its name and its fields: ``Name(a,b)``, or ``Name`` alone."""
+
     def __str__(self) -> str:
-        return "NotStarted"
+        name = type(self).__name__.removesuffix("Occurred")  # UnknownEventOccurred prints as UnknownEvent
+        values = [str(getattr(self, f.name)) for f in fields(self)]
+        return f"{name}({','.join(values)})" if values else name
 
 
 @dataclass(frozen=True)
-class OrderViolation:
+class NotStarted(_Reason):
+    """The trace is empty, or a causal thread in it begins at no start."""
+
+
+@dataclass(frozen=True)
+class OrderViolation(_Reason):
     before: str  # the edge the trace reversed: before must precede after
     after: str
 
-    def __str__(self) -> str:
-        return f"OrderViolation({self.before},{self.after})"
-
 
 @dataclass(frozen=True)
-class ExclusivityViolation:
+class ExclusivityViolation(_Reason):
     group: ExclusiveGroup
 
-    def __str__(self) -> str:
-        return f"ExclusivityViolation({self.group})"
+
+@dataclass(frozen=True)
+class MissingSuccessor(_Reason):
+    event: str
 
 
 @dataclass(frozen=True)
-class MissingSuccessor:
+class UnknownEventOccurred(_Reason):
     event: str
-
-    def __str__(self) -> str:
-        return f"MissingSuccessor({self.event})"
 
 
 @dataclass(frozen=True)
-class UnknownEventOccurred:
+class WindowViolation(_Reason):
     event: str
-
-    def __str__(self) -> str:
-        return f"UnknownEvent({self.event})"
-
-
-@dataclass(frozen=True)
-class WindowViolation:
-    event: str
-
-    def __str__(self) -> str:
-        return f"WindowViolation({self.event})"
 
 
 Violation = Union[
@@ -238,48 +233,35 @@ class Verdict:
 # --- Construction -----------------------------------------------------------
 
 
-def build_chronology(events: Iterable[Event], decl: ChronologyDecl) -> Chronology:
-    """Validate a declaration into a usable chronology.
+def build_chronology(events: Iterable[Event], chronology: Chronology) -> Chronology:
+    """Check a chronology against the declared events and give it their windows.
 
     Raises UnknownEvent for ids that resolve to no declared event,
     CycleDetected (carrying one witness cycle) when the edges are not a DAG,
     and EdgeInsideExclusiveGroup when an edge orders two alternatives.
-    Omitted start/end sets default to the events with no incoming/outgoing
-    edges.
+    Returns the chronology unchanged but for its windows.
     """
     known = {e.id for e in events}
-    mentioned = decl.mentioned()
-    for ev in sorted(mentioned):
+    ids = sorted(chronology.events)
+    for ev in ids:
         if ev not in known:
-            raise UnknownEvent(f"chronology '{decl.id}' references undeclared event '{ev}'")
+            raise UnknownEvent(f"chronology '{chronology.id}' references undeclared event '{ev}'")
 
-    _, leftover = topological_order(sorted(mentioned), decl.edges)
+    _, leftover = topological_order(ids, chronology.edges)
     if leftover:
-        raise CycleDetected(_cycle_among(leftover, decl.edges))
+        raise CycleDetected(_cycle_among(leftover, chronology.edges))
 
-    for g in decl.groups:
-        for u, v in decl.edges:
+    for g in chronology.groups:
+        for u, v in chronology.edges:
             if u in g.members and v in g.members:
                 raise EdgeInsideExclusiveGroup(
                     f"edge {u} -> {v} orders members of exclusive group '{g.name}'"
                 )
 
-    has_in = {v for _, v in decl.edges}
-    has_out = {u for u, _ in decl.edges}
-    starts = frozenset(decl.starts) if decl.starts is not None else frozenset(mentioned - has_in)
-    ends = frozenset(decl.ends) if decl.ends is not None else frozenset(mentioned - has_out)
     windows = tuple(
-        sorted((e.id, e.window) for e in events if e.id in mentioned and e.window is not None)
+        sorted((e.id, e.window) for e in events if e.id in chronology.events and e.window is not None)
     )
-    return Chronology(
-        id=decl.id,
-        events=frozenset(mentioned),
-        edges=frozenset(decl.edges),
-        groups=decl.groups,
-        starts=starts,
-        ends=ends,
-        windows=windows,
-    )
+    return replace(chronology, windows=windows)
 
 
 _Node = TypeVar("_Node", bound=Hashable)

@@ -139,7 +139,7 @@ def _behavior_dot(doc: Document, options: RenderOptions) -> str:
             if sub is not None and sub_labels.get(sub):
                 label = f"{e}: {sub_labels[sub]}"
             attrs = [f'label="{_esc(label)}"']
-            if c.starts is not None and e in c.starts:
+            if c.start is not None and e in c.start:
                 attrs.append("peripheries=2")
             if e in hl or c.id in hl:
                 attrs.append("color=red")

@@ -51,7 +51,7 @@ class MalformedTrace(TmkitError):
 
 class IllegalAction(TmkitError):
     def __init__(self, stage, message: str):
-        super().__init__(f"{stage[0]}.{stage[1].value}: {message}")
+        super().__init__(f"{stage}: {message}")
         self.stage = stage
 
 

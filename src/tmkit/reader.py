@@ -11,7 +11,7 @@ from types import MappingProxyType
 from typing import Optional
 
 from . import syntax
-from .behavior import ChronologyDecl, Trace, check_trace_shape
+from .behavior import Chronology, Trace, check_trace_shape
 from .errors import BoundExceeded, DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
 from .model import Arc, ArcKind, Notation, StageKind, StageRef, Thimac
@@ -143,7 +143,7 @@ def _subdiagram(m: re.Match[str], items: list[re.Match[str]]) -> Subdiagram:
     return Subdiagram(m[1], syntax.unescape(m[2][1:-1]), stages, arcs)
 
 
-def _chronology(m: re.Match[str], items: list[re.Match[str]]) -> ChronologyDecl:
+def _chronology(m: re.Match[str], items: list[re.Match[str]]) -> Chronology:
     lists = [(i.lastindex, _words(i[i.lastindex], "->", ",", "|")) for i in items]
     edges = [edge for kind, ids in lists if kind == 1 for edge in zip(ids, ids[1:])]
     explicit = [e for kind, ids in lists if kind == 2 for e in ids]

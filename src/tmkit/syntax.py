@@ -28,7 +28,7 @@ from types import MappingProxyType
 from typing import Callable, Optional, TypeVar
 
 from . import diagnostics as dg
-from .behavior import ChronologyDecl, ExclusiveGroup, Trace, check_trace_shape
+from .behavior import Chronology, ExclusiveGroup, Trace, check_trace_shape
 from .errors import DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
 from .model import (
@@ -76,7 +76,7 @@ class Document:
     model: StaticModel
     subdiagrams: tuple[Subdiagram, ...] = ()
     events: tuple[Event, ...] = ()
-    chronologies: tuple[ChronologyDecl, ...] = ()
+    chronologies: tuple[Chronology, ...] = ()
     traces: tuple[Trace, ...] = ()
     # the source offset of each id's first declaration; SourceFile.span places it
     spans: Mapping[str, int] = field(default_factory=dict, compare=False, repr=False)
@@ -153,15 +153,15 @@ def thimac_decl(name: str, label: str, words: list[str], children: list[Thimac],
 
 
 def chronology_decl(name: str, explicit: list[str], edges: list[tuple[str, str]], groups: list[tuple[Optional[str], frozenset[str]]],
-                    starts: Optional[list[str]], ends: Optional[list[str]]) -> ChronologyDecl:
+                    start: Optional[list[str]], end: Optional[list[str]]) -> Chronology:
     """A chronology from its items, groups as (name or None, members). The unnamed groups are named
     x1, x2, ..., skipping every explicit name; the events are all the items mention, sorted."""
     taken = {g for g, _ in groups}
     auto = (f"x{n}" for n in count(1) if f"x{n}" not in taken)
     named = tuple(ExclusiveGroup(next(auto) if g is None else g, members) for g, members in groups)
-    decl = ChronologyDecl(name, tuple(explicit), tuple(edges), named, None if starts is None else tuple(starts),
-                          None if ends is None else tuple(ends))
-    return replace(decl, event_ids=tuple(sorted(decl.mentioned())))
+    chron = Chronology(name, tuple(explicit), tuple(edges), named, None if start is None else tuple(start),
+                       None if end is None else tuple(end))
+    return replace(chron, event_ids=tuple(sorted(chron.events)))
 
 
 class _SyntaxError(Exception):
@@ -424,14 +424,14 @@ class _Parser:
             window = (t0, self.integer("window end"))
         return Event(name, sub, window)
 
-    def chronology_section(self) -> ChronologyDecl:
+    def chronology_section(self) -> Chronology:
         name = self.declare("chronology id")
         self.expect("punct", "{")
         explicit: list[str] = []
         edges: list[tuple[str, str]] = []
         groups: list[tuple[Optional[int], frozenset[str]]] = []  # (name token or None, members)
-        starts: Optional[list[str]] = None
-        ends: Optional[list[str]] = None
+        start: Optional[list[str]] = None
+        end: Optional[list[str]] = None
         while not self.at("punct", "}"):
             # an identifier followed by '->' is an edge, even when the event
             # id collides with an item keyword like 'end'
@@ -451,9 +451,9 @@ class _Parser:
                 self.expect("punct", ";")
                 groups.append((named, frozenset(members)))
             elif self.at_keyword("start"):
-                starts = self.clause(self.event_id)
+                start = self.clause(self.event_id)
             elif self.at_keyword("end"):
-                ends = self.clause(self.event_id)
+                end = self.clause(self.event_id)
             else:
                 raise self.unexpected("a chronology item")
         self.expect("punct", "}")
@@ -464,7 +464,7 @@ class _Parser:
                 self.report(f"chronology '{name}' names exclusive group '{self.texts[i]}' twice", i)
             seen.add(self.texts[i])
         named = [(None if i is None else self.texts[i], members) for i, members in groups]
-        return chronology_decl(name, explicit, edges, named, starts, ends)
+        return chronology_decl(name, explicit, edges, named, start, end)
 
     def trace_section(self) -> Trace:
         name = self.declare("trace id")
@@ -558,10 +558,10 @@ def print_document(doc: Document) -> str:
             out.append(f"  {u} -> {v};")
         for g in c.groups:
             out.append(f"  exclusive {g.name} {{ {' | '.join(sorted(g.members))} }};")
-        if c.starts is not None:
-            out.append(f"  start: {', '.join(c.starts)};")
-        if c.ends is not None:
-            out.append(f"  end: {', '.join(c.ends)};")
+        if c.start is not None:
+            out.append(f"  start: {', '.join(c.start)};")
+        if c.end is not None:
+            out.append(f"  end: {', '.join(c.end)};")
         out.append("}")
 
     if doc.traces:

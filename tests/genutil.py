@@ -4,7 +4,7 @@ from __future__ import annotations
 import random
 import string
 
-from tmkit.behavior import ChronologyDecl, ExclusiveGroup, Trace
+from tmkit.behavior import Chronology, ExclusiveGroup, Trace
 from tmkit.events import Event, Subdiagram
 from tmkit.model import (
     Arc,
@@ -99,19 +99,16 @@ def random_document(rng: random.Random) -> Document:
         if rng.random() < 0.5 and len(event_ids) >= 2:
             members = rng.sample(event_ids, 2)
             groups.append(ExclusiveGroup(fresh_id(rng, taken, "x"), frozenset(members)))
-        mentioned = set(event_ids)
-        starts = tuple(rng.sample(event_ids, rng.randint(1, len(event_ids)))) if rng.random() < 0.5 else None
-        ends = tuple(rng.sample(event_ids, rng.randint(1, len(event_ids)))) if rng.random() < 0.5 else None
-        for u, v in edges:
-            mentioned.update((u, v))
+        start = tuple(rng.sample(event_ids, rng.randint(1, len(event_ids)))) if rng.random() < 0.5 else None
+        end = tuple(rng.sample(event_ids, rng.randint(1, len(event_ids)))) if rng.random() < 0.5 else None
         chronologies.append(
-            ChronologyDecl(
+            Chronology(
                 id=fresh_id(rng, taken, "c"),
-                event_ids=tuple(sorted(mentioned | set(starts or ()) | set(ends or ()))),
+                event_ids=tuple(sorted(event_ids)),  # every event, which holds all the items mention
                 edges=tuple(edges),
                 groups=tuple(groups),
-                starts=starts,
-                ends=ends,
+                start=start,
+                end=end,
             )
         )
 
@@ -174,7 +171,7 @@ def random_simplified_model(rng: random.Random) -> StaticModel:
     return build_model("m", thimacs, arcs, Notation.SIMPLIFIED)
 
 
-def random_chronology(rng: random.Random, n_events: int, exclusive: bool = True) -> tuple[list[Event], ChronologyDecl]:
+def random_chronology(rng: random.Random, n_events: int, exclusive: bool = True) -> tuple[list[Event], Chronology]:
     """A random DAG chronology over n fabricated events."""
     ids = [f"e{i}" for i in range(n_events)]
     shuffled = ids[:]
@@ -194,7 +191,7 @@ def random_chronology(rng: random.Random, n_events: int, exclusive: bool = True)
             groups.append(ExclusiveGroup("x1", frozenset(members)))
 
     events = [Event(e, "s") for e in ids]
-    decl = ChronologyDecl(id="c", event_ids=tuple(ids), edges=tuple(edges), groups=tuple(groups))
+    decl = Chronology(id="c", event_ids=tuple(ids), edges=tuple(edges), groups=tuple(groups))
     return events, decl
 
 

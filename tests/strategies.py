@@ -4,7 +4,7 @@ from __future__ import annotations
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from tmkit.behavior import ChronologyDecl, ExclusiveGroup, build_chronology
+from tmkit.behavior import Chronology, ExclusiveGroup, build_chronology
 from tmkit.errors import EdgeInsideExclusiveGroup
 from tmkit.events import Event
 
@@ -23,7 +23,7 @@ def declared_chronologies(draw):
     starts, ends = draw(some_ids), draw(some_ids)
     member_sets = draw(st.lists(st.sets(st.sampled_from(ids), min_size=2), max_size=3)) if len(ids) > 1 else []
     groups = [ExclusiveGroup(f"x{i}", frozenset(m)) for i, m in enumerate(member_sets)]
-    decl = ChronologyDecl("c", tuple(ids), tuple(edges), tuple(groups), tuple(sorted(starts)), tuple(sorted(ends)))
+    decl = Chronology("c", tuple(ids), tuple(edges), tuple(groups), tuple(sorted(starts)), tuple(sorted(ends)))
     try:
         return build_chronology([Event(e, "s") for e in ids], decl)
     except EdgeInsideExclusiveGroup:

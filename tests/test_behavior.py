@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 import tmkit.behavior as behavior
 from tmkit.behavior import (
     Chronology,
-    ChronologyDecl,
     ExclusiveGroup,
     ExclusivityViolation,
     MissingSuccessor,
@@ -16,6 +16,7 @@ from tmkit.behavior import (
     OrderViolation,
     Trace,
     UnknownEventOccurred,
+    Verdict,
     WindowViolation,
     build_chronology,
     canonical_order,
@@ -27,6 +28,7 @@ from tmkit.behavior import (
 )
 from tmkit.errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
 from tmkit.events import Event
+from tmkit.simulate import Seeded, simulate
 
 from conftest import load
 from genutil import random_chronology
@@ -60,7 +62,7 @@ def diamonds(k: int, tail: int = 0) -> Chronology:
     line = [joins[-1]] + [f"t{i}" for i in range(tail)]
     edges += zip(line, line[1:])
     ids = sorted({e for edge in edges for e in edge} | set(joins))
-    decl = ChronologyDecl("c", tuple(ids), tuple(edges), tuple(groups))
+    decl = Chronology("c", tuple(ids), tuple(edges), tuple(groups))
     return build_chronology([Event(e, "s") for e in ids], decl)
 
 
@@ -77,7 +79,7 @@ def test_airport_chronology_builds(airport_chronology):
 
 def test_cycle_is_detected_with_a_witness():
     events = [Event("E1", "s"), Event("E2", "s")]
-    decl = ChronologyDecl("c", edges=(("E1", "E2"), ("E2", "E1")))
+    decl = Chronology("c", edges=(("E1", "E2"), ("E2", "E1")))
     with pytest.raises(CycleDetected) as err:
         build_chronology(events, decl)
     assert set(err.value.cycle) >= {"E1", "E2"}
@@ -91,7 +93,7 @@ def test_cycle_witness_is_a_closed_walk_over_declared_edges():
         ring = rng.sample([e.id for e in events], rng.randint(1, n))
         edges = decl.edges + tuple(zip(ring, ring[1:] + ring[:1]))
         with pytest.raises(CycleDetected) as err:
-            build_chronology(events, ChronologyDecl("c", decl.event_ids, edges))
+            build_chronology(events, Chronology("c", decl.event_ids, edges))
         cycle = err.value.cycle
         assert len(cycle) >= 2 and cycle[0] == cycle[-1], (edges, cycle)
         assert all(edge in edges for edge in zip(cycle, cycle[1:])), (edges, cycle)
@@ -115,7 +117,7 @@ def test_the_walk_breaks_ties_by_position_as_the_keyed_walk_did(inputs):
 
 
 def test_the_chronology_index_cannot_be_changed_through_its_readers():
-    chron = build_chronology([Event(e, "s") for e in "ABC"], ChronologyDecl("c", ("A", "B", "C"), (("A", "B"),)))
+    chron = build_chronology([Event(e, "s") for e in "ABC"], Chronology("c", ("A", "B", "C"), (("A", "B"),)))
     for handed_out in (chron.successors("A"), chron.predecessors("B"), chron.successors("C")):
         with pytest.raises(AttributeError):
             handed_out.add("C")
@@ -125,22 +127,56 @@ def test_the_chronology_index_cannot_be_changed_through_its_readers():
 
 
 def test_single_event_defaults_to_start_and_end():
-    b = build_chronology([Event("E1", "s")], ChronologyDecl("c", event_ids=("E1",)))
+    b = build_chronology([Event("E1", "s")], Chronology("c", event_ids=("E1",)))
     assert b.starts == b.ends == {"E1"}
 
 
 def test_undeclared_event_rejected():
     with pytest.raises(UnknownEvent):
-        build_chronology([Event("E1", "s")], ChronologyDecl("c", edges=(("E1", "ghost"),)))
+        build_chronology([Event("E1", "s")], Chronology("c", edges=(("E1", "ghost"),)))
 
 
 def test_edge_between_alternatives_rejected():
     events = [Event("E1", "s"), Event("E2", "s")]
-    decl = ChronologyDecl(
+    decl = Chronology(
         "c", edges=(("E1", "E2"),), groups=(ExclusiveGroup("g", frozenset({"E1", "E2"})),)
     )
     with pytest.raises(EdgeInsideExclusiveGroup):
         build_chronology(events, decl)
+
+
+def test_build_chronology_keeps_the_record_it_is_given_but_for_its_windows():
+    given = Chronology("c", ("A",), (("A", "B"), ("A", "B")), (ExclusiveGroup("g", frozenset({"B", "C"})),), start=("A", "C"))
+    events = [Event("A", "s", window=(0, 3)), Event("B", "s"), Event("C", "s", window=(1, 2)), Event("D", "s", window=(0, 9))]
+    built = build_chronology(events, given)
+    assert given.windows == () and built.windows == (("A", (0, 3)), ("C", (1, 2)))  # D is in no item
+    assert replace(built, windows=()) == given
+    for name in ("id", "event_ids", "edges", "groups", "start", "end"):
+        assert getattr(built, name) is getattr(given, name)
+
+
+def test_the_record_resolves_what_it_does_not_state():
+    chron = Chronology("c", ("Z",), (("A", "B"), ("B", "C")), (ExclusiveGroup("g", frozenset({"C", "D"})),))
+    assert chron.events == {"A", "B", "C", "D", "Z"}
+    assert chron.starts == {"A", "D", "Z"} and chron.ends == {"C", "D", "Z"}
+    stated = replace(chron, start=("B",), end=("B", "E"))
+    assert stated.events == chron.events | {"E"}
+    assert stated.starts == {"B"} and stated.ends == {"B", "E"}
+
+
+@pytest.mark.parametrize("built", [True, False], ids=["built", "record"])
+def test_an_edge_stated_twice_is_one_edge(airport, built):
+    once = airport.chronologies[0]
+    twice = replace(once, edges=once.edges + once.edges[::-1])
+    if built:
+        once, twice = build_chronology(airport.events, once), build_chronology(airport.events, twice)
+    runs = enumerate_runs(once)
+    assert enumerate_runs(twice) == runs and len(runs) == 4
+    traces = list(airport.traces) + [trace_of(*run[:cut]) for run in runs for cut in range(len(run) + 1)]
+    assert [evaluate_trace(twice, t) for t in traces] == [evaluate_trace(once, t) for t in traces]
+    for seed in range(10):
+        sim = [simulate(airport.model, airport.subdiagrams, airport.events, c, Seeded(seed)) for c in (once, twice)]
+        assert sim[0] == sim[1]
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -196,7 +232,7 @@ def test_equal_timestamps_on_ordered_pair_rejected(airport_chronology):
 
 def test_equal_timestamps_on_concurrent_pair_accepted():
     events = [Event(e, "s") for e in ("a", "b", "z")]
-    decl = ChronologyDecl("c", edges=(("a", "z"), ("b", "z")))
+    decl = Chronology("c", edges=(("a", "z"), ("b", "z")))
     b = build_chronology(events, decl)
     v = evaluate_trace(b, Trace("t", (("a", 0), ("b", 0), ("z", 1))))
     assert v.truth
@@ -213,11 +249,27 @@ def test_malformed_trace_is_a_caller_error(airport_chronology):
 
 def test_window_violation():
     events = [Event("a", "s", window=(2, 4)), Event("z", "s")]
-    b = build_chronology(events, ChronologyDecl("c", edges=(("a", "z"),)))
+    b = build_chronology(events, Chronology("c", edges=(("a", "z"),)))
     assert evaluate_trace(b, Trace("t", (("a", 3), ("z", 9)))).truth
     v = evaluate_trace(b, Trace("t", (("a", 0), ("z", 9))))
     assert v.violation == WindowViolation("a")
     assert v.summary() == "FALSE reason=WindowViolation(a)"
+
+
+@pytest.mark.parametrize(
+    "reason, text",
+    [
+        (NotStarted(), "NotStarted"),
+        (OrderViolation("E3", "E4"), "OrderViolation(E3,E4)"),
+        (ExclusivityViolation(ExclusiveGroup("g", frozenset({"E10", "E9"}))), "ExclusivityViolation({E10|E9})"),
+        (MissingSuccessor("E4"), "MissingSuccessor(E4)"),
+        (UnknownEventOccurred("E99"), "UnknownEvent(E99)"),
+        (WindowViolation("a"), "WindowViolation(a)"),
+    ],
+)
+def test_each_verdict_reason_prints_its_name_and_fields(reason, text):
+    assert str(reason) == text
+    assert Verdict(False, violation=reason).summary() == f"FALSE reason={text}"
 
 
 def test_evaluation_is_deterministic(airport, airport_chronology):
@@ -264,7 +316,7 @@ def test_green_cheese_has_one_run():
 
 def test_bound_exceeded():
     events = [Event(f"e{i}", "s") for i in range(6)]
-    decl = ChronologyDecl("c", event_ids=tuple(e.id for e in events))
+    decl = Chronology("c", event_ids=tuple(e.id for e in events))
     # six isolated events: every non-empty subset is a run
     with pytest.raises(BoundExceeded):
         enumerate_runs(build_chronology(events, decl), bound=10)
@@ -285,7 +337,7 @@ def test_sixty_one_events_have_the_runs_of_ten_diamonds():
 
 def test_long_linear_chronology_has_one_run():
     ids = [f"e{i}" for i in range(3000)]
-    decl = ChronologyDecl("c", tuple(ids), tuple(zip(ids, ids[1:])))
+    decl = Chronology("c", tuple(ids), tuple(zip(ids, ids[1:])))
     chron = build_chronology([Event(e, "s") for e in ids], decl)
     assert enumerate_runs(chron) == [tuple(ids)]
 
@@ -299,7 +351,7 @@ def fan(n: int, via: str = "") -> Chronology:
     xs = [f"x{i}" for i in range(n)]
     edges = [("s", x) for x in xs] + [(x, via or "y") for x in xs] + ([(via, "y")] if via else [])
     ids = ["s", *xs, *([via] if via else []), "y"]
-    decl = ChronologyDecl("c", tuple(ids), tuple(edges), (ExclusiveGroup("g", frozenset({"s", "y"})),))
+    decl = Chronology("c", tuple(ids), tuple(edges), (ExclusiveGroup("g", frozenset({"s", "y"})),))
     return build_chronology([Event(e, "s") for e in ids], decl)
 
 
@@ -317,7 +369,7 @@ def test_events_with_no_path_to_an_end_are_never_included():
     xs = [f"x{i}" for i in range(40)]
     ids = ["s", *xs, "d", "y"]
     edges = [("s", "y")] + [("s", x) for x in xs] + [(x, "d") for x in xs]
-    decl = ChronologyDecl("c", tuple(ids), tuple(edges), ends=("y",))
+    decl = Chronology("c", tuple(ids), tuple(edges), end=("y",))
     chron = build_chronology([Event(e, "s") for e in ids], decl)
     assert enumerate_runs(chron, bound=len(ids)) == [("s", "y")]
 
@@ -329,7 +381,7 @@ def test_events_forced_out_are_no_successors():
     threads = range(20)
     ids = [f"a{i}" for i in threads] + [f"b{i}" for i in threads] + ["c"]
     edges = [(f"a{i}", f"b{i}") for i in threads] + [(f"b{i}", "c") for i in threads]
-    chron = build_chronology([Event(e, "s") for e in ids], ChronologyDecl("c", tuple(ids), tuple(edges)))
+    chron = build_chronology([Event(e, "s") for e in ids], Chronology("c", tuple(ids), tuple(edges)))
     forced_out = {f"b{i}" for i in threads} - {"b0"}
     assert list(search_runs(chron, 1, {"a0", "b0", "c"}, forced_out)) == [frozenset({"a0", "b0", "c"})]
     assert list(search_runs(chron, 1, {"a1", "c"}, forced_out)) == []

@@ -143,3 +143,17 @@ def test_behavior_dot_highlights_an_event_and_its_edges():
 
 def test_behavior_dot_of_a_document_without_chronologies_is_one_empty_digraph():
     assert to_dot(replace(_SMALL, chronologies=()), RenderOptions(level=Level.BEHAVIOR)) == 'digraph "behavior" {\n}\n'
+
+
+def _behavior_of(chronology: str) -> str:
+    text = 'model m { thimac a "A" { stages: create; } }\nsubdiagram s "S" { stages: a.create; }\nevent E1 = s\nevent E2 = s\n'
+    return to_dot(parse_text(text + chronology).document, RenderOptions(level=Level.BEHAVIOR))
+
+
+def test_behavior_dot_marks_the_starts_a_chronology_states_and_no_others():
+    # E2 is marked although it has a predecessor: the mark follows the start clause as written
+    stated = _behavior_of("chronology c { E1 -> E2; start: E1, E2; }\n")
+    assert '"E1" [label="E1: S", peripheries=2];' in stated
+    assert '"E2" [label="E2: S", peripheries=2];' in stated
+    # without a start clause E1 still starts every run, but nothing is marked
+    assert "peripheries" not in _behavior_of("chronology c { E1 -> E2; }\n")
