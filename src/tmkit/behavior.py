@@ -239,7 +239,7 @@ def build_chronology(events: Iterable[Event], chronology: Chronology) -> Chronol
     Raises UnknownEvent for ids that resolve to no declared event,
     CycleDetected (carrying one witness cycle) when the edges are not a DAG,
     and EdgeInsideExclusiveGroup when an edge orders two alternatives.
-    Returns the chronology unchanged but for its windows.
+    Returns the chronology itself if it already holds these windows, else a copy with them.
     """
     known = {e.id for e in events}
     ids = sorted(chronology.events)
@@ -261,7 +261,7 @@ def build_chronology(events: Iterable[Event], chronology: Chronology) -> Chronol
     windows = tuple(
         sorted((e.id, e.window) for e in events if e.id in chronology.events and e.window is not None)
     )
-    return replace(chronology, windows=windows)
+    return chronology if windows == chronology.windows else replace(chronology, windows=windows)
 
 
 _Node = TypeVar("_Node", bound=Hashable)

@@ -61,7 +61,7 @@ def _build_chronologies(doc: Document, built: dict[str, Chronology]) -> list[dg.
 _CHECKS = {
     VALIDATE: lambda doc, built: validate_static(doc.model),
     SUBDIAGRAMS: lambda doc, built: [d for sub in doc.subdiagrams for d in check_subdiagram(doc.model, sub)],
-    EVENTS: lambda doc, built: eventize(doc.subdiagrams, doc.events)[1],
+    EVENTS: lambda doc, built: eventize(doc.subdiagrams, doc.events),
     CHRONOLOGY: _build_chronologies,
 }
 

@@ -12,6 +12,8 @@ from typing import Optional, Sequence
 from . import diagnostics as dg
 from .model import ArcKind, StageRef, StaticModel
 
+_FLOW = ArcKind.FLOW
+
 
 @dataclass(frozen=True)
 class Subdiagram:
@@ -52,7 +54,7 @@ def check_subdiagram(model: StaticModel, sub: Subdiagram) -> list[dg.Diagnostic]
         if arc is None:
             diags.append(dg.error(dg.SUB_UNRESOLVED, f"arc '{arc_id}' is not in the model", (sub.id, arc_id)))
             continue
-        if arc.kind is ArcKind.FLOW:
+        if arc.kind is _FLOW:
             for ref in (arc.src, arc.dst):
                 if ref not in stage_set:
                     diags.append(
@@ -90,31 +92,26 @@ def coverage(model: StaticModel, subs: Sequence[Subdiagram]) -> CoverageReport:
     )
 
 
-def eventize(
-    subs: Sequence[Subdiagram], declarations: Sequence[Event]
-) -> tuple[list[Event], list[dg.Diagnostic]]:
-    """Resolve event declarations against the checked subdiagrams.
+def eventize(subs: Sequence[Subdiagram], declarations: Sequence[Event]) -> list[dg.Diagnostic]:
+    """Check event declarations against the checked subdiagrams.
 
-    Events keep their declaration order. Two events over one subdiagram are
-    both constructed, with a warning.
+    Each event must name a declared subdiagram, and its window, if any, must
+    not start after it ends. Two events over one subdiagram are both legal,
+    with a warning.
     """
     diags: list[dg.Diagnostic] = []
-    by_id = {s.id: s for s in subs}
-    events: list[Event] = []
+    known = {s.id for s in subs}
     used: dict[str, str] = {}
     for ev in declarations:
-        if ev.subdiagram not in by_id:
+        if ev.subdiagram not in known:
             diags.append(
                 dg.error(dg.EVENT_UNRESOLVED, f"event '{ev.id}' names unknown subdiagram '{ev.subdiagram}'", (ev.id,))
             )
             continue
-        if ev.window is not None:
-            t0, t1 = ev.window
-            if t0 > t1:
-                diags.append(
-                    dg.error(dg.EVENT_WINDOW, f"event '{ev.id}' window {t0}..{t1} is empty (start after end)", (ev.id,))
-                )
-                continue
+        if ev.window is not None and ev.window[0] > ev.window[1]:
+            message = "event '{}' window {}..{} is empty (start after end)".format(ev.id, *ev.window)
+            diags.append(dg.error(dg.EVENT_WINDOW, message, (ev.id,)))
+            continue
         if ev.subdiagram in used:
             diags.append(
                 dg.warning(
@@ -125,5 +122,4 @@ def eventize(
             )
         else:
             used[ev.subdiagram] = ev.id
-        events.append(ev)
-    return events, dg.sort_diagnostics(diags)
+    return dg.sort_diagnostics(diags)

@@ -14,9 +14,10 @@ from . import syntax
 from .behavior import Chronology, Trace, check_trace_shape
 from .errors import BoundExceeded, DuplicateId, UnresolvedStageRef
 from .events import Event, Subdiagram
-from .model import Arc, ArcKind, Notation, StageKind, StageRef, Thimac
+from .model import Arc, ArcKind, Notation, StageRef, Thimac
+from .syntax import _STAGE_WORDS
 
-_KINDS = {k.value: k for k in StageKind}
+_FLOW, _TRIGGER = ArcKind.FLOW, ArcKind.TRIGGER
 # A pattern's spaces stand for the token parser's blanks and comments. A comment runs to the end of
 # its line, and keywords and identifiers end at a word boundary, so no part gives back characters to
 # the rest of a pattern (Python 3.10 has no atomic groups). An integer needs no boundary: the token
@@ -25,8 +26,8 @@ _PARTS = {
     "ID": r"[^\W\d]\w*\b",
     "INT": r"\d+",
     "STR": r'"[^"\\\n]*(?:\\[\s\S][^"\\\n]*)*"',
-    "KIND": f"(?:{'|'.join(_KINDS)})\\b",
-    "WORD": f"(?:{'|'.join(_KINDS)}|memory)\\b",
+    "KIND": f"(?:{'|'.join(_STAGE_WORDS)})\\b",
+    "WORD": f"(?:{'|'.join(_STAGE_WORDS)}|memory)\\b",
 }
 
 
@@ -138,7 +139,7 @@ def _sections(rx: re.Pattern[str], items: Optional[re.Pattern[str]], text: str, 
 
 def _subdiagram(m: re.Match[str], items: list[re.Match[str]]) -> Subdiagram:
     refs = [w for i in items if i[1] for w in _words(i[1], ".", ",")]  # a stage reference is two words
-    stages = tuple(StageRef(t, _KINDS[k]) for t, k in zip(refs[::2], refs[1::2]))
+    stages = tuple(StageRef(t, _STAGE_WORDS[k]) for t, k in zip(refs[::2], refs[1::2]))
     arcs = tuple(a for i in items if i[2] for a in _words(i[2], ","))
     return Subdiagram(m[1], syntax.unescape(m[2][1:-1]), stages, arcs)
 
@@ -167,8 +168,8 @@ def _model(text: str, first: dict[str, int]) -> tuple[re.Match[str], list[Thimac
             inside.append((item[3], syntax.unescape(item[4][1:-1]), [], [], []))
         elif kind == 10 and not inside:
             first.setdefault(item[6], item.start(6))
-            arc_kind = ArcKind.FLOW if item[5] == "flow" else ArcKind.TRIGGER
-            arcs.append(Arc(item[6], arc_kind, StageRef(item[7], _KINDS[item[8]]), StageRef(item[9], _KINDS[item[10]])))
+            src, dst = StageRef(item[7], _STAGE_WORDS[item[8]]), StageRef(item[9], _STAGE_WORDS[item[10]])
+            arcs.append(Arc(item[6], _FLOW if item[5] == "flow" else _TRIGGER, src, dst))
         elif kind == 1 and inside:
             inside[-1][2].extend(_words(item[1], ","))
             _unique(inside[-1][2])

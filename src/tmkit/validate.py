@@ -24,6 +24,7 @@ C, P, R, T, V, A, X = (
     StageKind.ARRIVE,
     StageKind.ACCEPT,
 )
+_FLOW, _TRIGGER = ArcKind.FLOW, ArcKind.TRIGGER
 
 # Legal intra-machine flow pairs in full notation. Creation takes no incoming
 # flow (triggers only), and transfer-to-arrive mirrors transfer-to-receive for
@@ -79,7 +80,7 @@ def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
     touched: set[StageRef] = set()
     for arc in model.arcs:
         touched.update((arc.src, arc.dst))
-        if arc.kind is ArcKind.TRIGGER:
+        if arc.kind is _TRIGGER:
             if arc.src == arc.dst:
                 diags.append(dg.warning(dg.TRIGGER_SELF, f"trigger '{arc.id}' loops on {arc.src}", (arc.id,)))
         elif arc.dst.kind is C and not (model.notation is Notation.SIMPLIFIED and arc.cross_machine):
@@ -103,6 +104,10 @@ def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
 # ---------------------------------------------------------------------------
 # Desugaring
 
+# The stages a thing passes through on each side of a cross-machine move: out through release and
+# transfer, in through transfer and receive, or arrive and accept on a machine that declares them.
+SENDING, RECEIVING, ARRIVING = (R, T), (T, V), (T, A, X)
+
 
 def desugar(model: StaticModel) -> StaticModel:
     """Expand a simplified model into full notation.
@@ -119,72 +124,34 @@ def desugar(model: StaticModel) -> StaticModel:
 
     needed: dict[str, set[StageKind]] = {}
     arcs: list[Arc] = []
-    existing: set[tuple[ArcKind, StageRef, StageRef]] = set()
-
-    def exit_chain(kind: StageKind) -> list[StageKind]:
-        if kind is T:
-            return [T]
-        if kind is R:
-            return [R, T]
-        return [kind, R, T]
-
-    def entry_chain(t: Thimac, kind: StageKind) -> tuple[list[StageKind], bool]:
-        # Returns the receiving-side chain and whether the last hop triggers.
-        gate = [A, X] if ({A, X} & t.stages) else [V]
-        if kind is T:
-            return [T], False
-        if kind in gate:
-            return [T] + gate[: gate.index(kind) + 1], False
-        if kind is C:
-            return [T] + gate + [C], True
-        return [T] + gate + [kind], False
-
-    used_ids = {a.id for a in model.arcs}
-
-    def add_arc(kind: ArcKind, src: StageRef, dst: StageRef, base: str, n: int) -> int:
-        key = (kind, src, dst)
-        if key in existing:
-            return n
-        existing.add(key)
-        while f"{base}_x{n}" in used_ids:
-            n += 1
-        used_ids.add(f"{base}_x{n}")
-        arcs.append(Arc(f"{base}_x{n}", kind, src, dst))
-        return n + 1
-
+    present = {(a.kind, a.src, a.dst) for a in model.arcs}
+    taken = {a.id for a in model.arcs}
     for arc in model.arcs:
-        existing.add((arc.kind, arc.src, arc.dst))
-
-    for arc in model.arcs:
-        if arc.kind is ArcKind.TRIGGER or not arc.cross_machine or (arc.src.kind, arc.dst.kind) in CROSS_FLOWS:
+        src, dst = arc.src, arc.dst
+        if arc.kind is _TRIGGER or not arc.cross_machine or (src.kind, dst.kind) in CROSS_FLOWS:
             arcs.append(arc)
             continue
 
-        dst_thimac = model.thimac(arc.dst.thimac)
-        assert dst_thimac is not None
-        out_side = exit_chain(arc.src.kind)
-        in_side, trigger_last = entry_chain(dst_thimac, arc.dst.kind)
+        out = SENDING[SENDING.index(src.kind) :] if src.kind in SENDING else (src.kind, *SENDING)
+        entry = ARRIVING if {A, X} & model.thimac(dst.thimac).stages else RECEIVING
+        into = entry[: entry.index(dst.kind) + 1] if dst.kind in entry else (*entry, dst.kind)
+        needed.setdefault(src.thimac, set()).update(out)
+        needed.setdefault(dst.thimac, set()).update(into)
 
-        needed.setdefault(arc.src.thimac, set()).update(out_side)
-        needed.setdefault(arc.dst.thimac, set()).update(in_side)
-
-        path = [StageRef(arc.src.thimac, k) for k in out_side] + [StageRef(arc.dst.thimac, k) for k in in_side]
+        path = [StageRef(src.thimac, k) for k in out] + [StageRef(dst.thimac, k) for k in into]
         n = 1
-        for i, (u, v) in enumerate(zip(path, path[1:])):
-            last = i == len(path) - 2
-            n = add_arc(ArcKind.TRIGGER if (last and trigger_last) else ArcKind.FLOW, u, v, arc.id, n)
+        for u, v in zip(path, path[1:]):
+            key = (_TRIGGER if v.kind is C else _FLOW, u, v)
+            if key in present:
+                continue
+            present.add(key)
+            while (new := f"{arc.id}_x{n}") in taken:
+                n += 1
+            taken.add(new)
+            arcs.append(Arc(new, *key))
+            n += 1
 
     def grow(t: Thimac) -> Thimac:
-        extra = needed.get(t.id, set())
-        return replace(
-            t,
-            stages=t.stages | frozenset(extra),
-            children=tuple(grow(c) for c in t.children),
-        )
+        return replace(t, stages=t.stages.union(needed.get(t.id, ())), children=tuple(map(grow, t.children)))
 
-    return StaticModel(
-        name=model.name,
-        roots=tuple(grow(t) for t in model.roots),
-        arcs=tuple(arcs),
-        notation=Notation.FULL,
-    )
+    return StaticModel(model.name, tuple(map(grow, model.roots)), tuple(arcs), Notation.FULL)

@@ -155,6 +155,15 @@ def test_build_chronology_keeps_the_record_it_is_given_but_for_its_windows():
         assert getattr(built, name) is getattr(given, name)
 
 
+def test_build_chronology_returns_the_record_itself_when_its_windows_stay(airport):
+    given = airport.chronologies[0]
+    assert build_chronology(airport.events, given) is given  # no airport event has a window
+    events = [Event("A", "s", window=(0, 3)), Event("B", "s")]
+    windowed = build_chronology(events, Chronology("c", ("A", "B")))
+    assert windowed.windows == (("A", (0, 3)),)
+    assert build_chronology(events, windowed) is windowed
+
+
 def test_the_record_resolves_what_it_does_not_state():
     chron = Chronology("c", ("Z",), (("A", "B"), ("B", "C")), (ExclusiveGroup("g", frozenset({"C", "D"})),))
     assert chron.events == {"A", "B", "C", "D", "Z"}

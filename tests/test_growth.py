@@ -34,7 +34,7 @@ from tmkit.events import check_subdiagram, coverage, eventize
 from tmkit.model import build_model, models_isomorphic
 from tmkit.simulate import Seeded, simulate
 from tmkit.syntax import Document, SourceFile, _tokenize, parse, print_document
-from tmkit.validate import validate_static
+from tmkit.validate import desugar, validate_static
 
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 import gen  # noqa: E402
@@ -96,6 +96,12 @@ def _models_isomorphic(src: SourceFile, doc: Document) -> int:
     return count_calls(models_isomorphic, doc.model, other.model)
 
 
+def _desugar(src: SourceFile, doc: Document) -> int:
+    # the same chain in simplified notation, where desugaring expands every hop
+    text = gen.chain(random.Random(1), len(doc.model.roots) - 1).simplified_text
+    return count_calls(desugar, parse(SourceFile("chain.tm", text)).document.model)
+
+
 def _evaluate_trace(src: SourceFile, doc: Document) -> int:
     chron = build_chronology(doc.events, doc.chronologies[0])
     return count_calls(evaluate_trace, chron, doc.traces[0])
@@ -108,6 +114,7 @@ LAYERS = {
     "model.build_model": _build_model,
     "model.models_isomorphic": _models_isomorphic,
     "validate.validate_static": lambda src, doc: count_calls(validate_static, doc.model),
+    "validate.desugar": _desugar,
     "syntax.print_document": lambda src, doc: count_calls(print_document, doc),
     "events.check_subdiagram": _check_subdiagrams,
     "events.coverage": lambda src, doc: count_calls(coverage, doc.model, doc.subdiagrams),

@@ -1,5 +1,8 @@
+import hashlib
 import random
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -15,11 +18,14 @@ from tmkit.model import (
     build_model,
     models_isomorphic,
 )
-from tmkit.syntax import parse_text, print_document
+from tmkit.syntax import Document, parse_text, print_document
 from tmkit.validate import desugar, validate_static
 
 from conftest import load
 from genutil import random_simplified_model
+
+sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
+import gen  # noqa: E402
 
 C, P, R, T, V = StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE, StageKind.TRANSFER, StageKind.RECEIVE
 
@@ -206,3 +212,21 @@ def test_desugar_expands_flows_out_of_transfer_and_into_each_entry_stage():
         "}\n"
     )
     assert validate_static(full) == []
+
+
+# The SHA-256 of the printed desugaring of 507 simplified models: random models
+# at seeds 0-499, the simplified chains of 50, 100 and 200 machines (seed 1) and
+# the four simplified fixtures. It pins every inserted arc, its id and its place,
+# and every stage added to a machine. A change that alters any of them must
+# update the digest and say why in CHANGES.md.
+DESUGARED = (507, "d498b9e87d07766abd1d07d58f8bab3bbcd57d965f879cb81b5b6c7e7bac650f")
+
+
+def test_desugared_models_are_pinned():
+    models = [random_simplified_model(random.Random(i)) for i in range(500)]
+    models += [parse_text(gen.chain(random.Random(1), n).simplified_text).document.model for n in (50, 100, 200)]
+    models += [load(f"{name}.tm").model for name in ("airport_simplified", "bread", "green_cheese", "zero_sum")]
+    digest = hashlib.sha256()
+    for m in models:
+        digest.update(print_document(Document(desugar(m))).encode())
+    assert (len(models), digest.hexdigest()) == DESUGARED
