@@ -29,7 +29,7 @@ from .model import (
     build_model,
     models_isomorphic,
 )
-from .simulate import BranchPolicy, Scripted, Seeded, fire_event, initial_state, simulate
+from .simulate import BranchPolicy, Scripted, Seeded, simulate
 from .syntax import Document, ParseResult, SourceFile, parse, parse_text, print_document
 from .validate import desugar, validate_static
 
@@ -70,8 +70,6 @@ __all__ = [
     "enumerate_runs",
     "evaluate_trace",
     "eventize",
-    "fire_event",
-    "initial_state",
     "models_isomorphic",
     "parse",
     "parse_text",

@@ -133,7 +133,7 @@ def _behavior_dot(doc: Document, options: RenderOptions) -> str:
         out.append("  node [shape=box];")
         for g in c.groups:
             out.append(f'  // exclusive {g.name}: {" | ".join(sorted(g.members))}')
-        for e in c.event_ids:
+        for e in sorted(c.events):
             label = e
             sub = sub_of.get(e)
             if sub is not None and sub_labels.get(sub):

@@ -21,7 +21,7 @@ import re
 import string
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count
 from types import MappingProxyType
@@ -154,14 +154,13 @@ def thimac_decl(name: str, label: str, words: list[str], children: list[Thimac],
 
 def chronology_decl(name: str, explicit: list[str], edges: list[tuple[str, str]], groups: list[tuple[Optional[str], frozenset[str]]],
                     start: Optional[list[str]], end: Optional[list[str]]) -> Chronology:
-    """A chronology from its items, groups as (name or None, members). The unnamed groups are named
-    x1, x2, ..., skipping every explicit name; the events are all the items mention, sorted."""
+    """A chronology from its items as written, groups as (name or None, members). The unnamed groups
+    are named x1, x2, ..., skipping every explicit name."""
     taken = {g for g, _ in groups}
     auto = (f"x{n}" for n in count(1) if f"x{n}" not in taken)
     named = tuple(ExclusiveGroup(next(auto) if g is None else g, members) for g, members in groups)
-    chron = Chronology(name, tuple(explicit), tuple(edges), named, None if start is None else tuple(start),
-                       None if end is None else tuple(end))
-    return replace(chron, event_ids=tuple(sorted(chron.events)))
+    return Chronology(name, tuple(explicit), tuple(edges), named, None if start is None else tuple(start),
+                      None if end is None else tuple(end))
 
 
 class _SyntaxError(Exception):

@@ -4,89 +4,102 @@ Full notation restricts flow arcs to the stage-machine topology: things move
 create/receive -> process -> release -> transfer, cross machines only
 transfer-to-transfer, and enter membership through receive (or the
 arrive/accept refinement). Simplified notation elides the
-release/transfer/receive plumbing of a cross-machine move; ``desugar``
-reinserts it.
+release/transfer/receive plumbing of a cross-machine move: ``elided_chains``
+states the chain each elided arrow stands for, ``validate_static`` judges the
+arrow by its chain and ``desugar`` inserts the chain.
 """
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 from . import diagnostics as dg
 from .errors import NotSimplified
 from .model import Arc, ArcKind, Notation, StageKind, StageRef, StaticModel, Thimac
 
-C, P, R, T, V, A, X = (
-    StageKind.CREATE,
-    StageKind.PROCESS,
-    StageKind.RELEASE,
-    StageKind.TRANSFER,
-    StageKind.RECEIVE,
-    StageKind.ARRIVE,
-    StageKind.ACCEPT,
-)
-_FLOW, _TRIGGER = ArcKind.FLOW, ArcKind.TRIGGER
+C, P, R, T, V, A, X = StageKind  # in declaration order
+_FLOW, _TRIGGER, _SIMPLIFIED = ArcKind.FLOW, ArcKind.TRIGGER, Notation.SIMPLIFIED
 
 # Legal intra-machine flow pairs in full notation. Creation takes no incoming
 # flow (triggers only), and transfer-to-arrive mirrors transfer-to-receive for
 # machines using the arrive/accept refinement.
 INTRA_FLOWS: frozenset[tuple[StageKind, StageKind]] = frozenset(
-    {
-        (C, P),
-        (C, R),
-        (V, P),
-        (V, R),
-        (P, R),
-        (R, T),
-        (T, V),
-        (T, A),
-        (A, X),
-        (X, P),
-        (X, R),
-    }
+    {(C, P), (C, R), (V, P), (V, R), (P, R), (R, T), (T, V), (T, A), (A, X), (X, P), (X, R)}
 )
 
 # Cross-machine flow in full notation: transfer feeding transfer, nothing else.
 CROSS_FLOWS: frozenset[tuple[StageKind, StageKind]] = frozenset({(T, T)})
 
-# A simplified cross-machine flow is legal precisely when desugaring can
-# expand it: the source must be able to feed a release chain (anything but
-# arrive) and the target must be reachable from the receiving side (anything
-# but accept; create is reached by trigger).
-SIMPLIFIED_CROSS_SRC = frozenset(StageKind) - {A}
-SIMPLIFIED_CROSS_DST = frozenset(StageKind) - {X}
+# The stages a thing passes through on each side of a cross-machine move: out through release and
+# transfer, in through transfer and receive, or arrive and accept on a machine that declares them.
+SENDING, RECEIVING, ARRIVING = (R, T), (T, V), (T, A, X)
+
+# The chain of an elided arrow: the stage kinds it passes on the source's machine, then on the target's.
+Chain = tuple[tuple[StageKind, ...], tuple[StageKind, ...]]
+# A legal hop on one side of a chain: an intra-machine flow, or a trigger into creation.
+_SIDE_HOPS = INTRA_FLOWS | {(k, C) for k in StageKind}
 
 
-def flow_legal(src: StageRef, dst: StageRef, notation: Notation) -> bool:
-    pair = (src.kind, dst.kind)
-    if src.thimac == dst.thimac:
-        return pair in INTRA_FLOWS
-    if pair in CROSS_FLOWS:
-        return True
-    return (
-        notation is Notation.SIMPLIFIED
-        and src.kind in SIMPLIFIED_CROSS_SRC
-        and dst.kind in SIMPLIFIED_CROSS_DST
-    )
+def elided_chains(model: StaticModel) -> dict[str, Chain]:
+    """The chain each elided arrow stands for, by arc id: none in full notation.
+
+    In simplified notation every cross-machine flow but transfer -> transfer is
+    elided. The sending side of the chain of src -> dst is SENDING from src's
+    stage on if that stage is in it, else that stage followed by SENDING. The
+    receiving side is RECEIVING, or ARRIVING when dst's machine declares arrive
+    or accept, up to dst's stage if that stage is in it, else followed by it.
+    """
+    chains: dict[str, Chain] = {}
+    if model.notation is not _SIMPLIFIED:
+        return chains
+    for arc in model.arcs:
+        src, dst = arc.src, arc.dst
+        if arc.kind is _TRIGGER or src.thimac == dst.thimac or (src.kind, dst.kind) in CROSS_FLOWS:
+            continue
+        stages = model.thimac(dst.thimac).stages
+        chains[arc.id] = _chain(src.kind, dst.kind, A in stages or X in stages)
+    return chains
+
+
+@cache  # keyed by stage kinds, so it holds at most 98 chains
+def _chain(src: StageKind, dst: StageKind, arriving: bool) -> Chain:
+    entry = ARRIVING if arriving else RECEIVING
+    out = SENDING[SENDING.index(src) :] if src in SENDING else (src, *SENDING)
+    return out, entry[: entry.index(dst) + 1] if dst in entry else (*entry, dst)
+
+
+@cache  # keyed by the chains _chain makes
+def _chain_legal(chain: Chain) -> bool:
+    """Whether every hop of an elided arrow's chain is legal in full notation. The
+    sides meet transfer to transfer, and the hop into a create stage is a trigger."""
+    out, into = chain
+    return _SIDE_HOPS.issuperset(zip(out, out[1:])) and _SIDE_HOPS.issuperset(zip(into, into[1:]))
+
+
+def flow_legal(src: StageRef, dst: StageRef) -> bool:
+    """Whether a flow is a legal move in full notation."""
+    return (src.kind, dst.kind) in (INTRA_FLOWS if src.thimac == dst.thimac else CROSS_FLOWS)
 
 
 def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
     """Empty iff the model is well-formed in its declared notation.
 
     Triggers are unconstrained apart from self-loops; only flows are checked
-    against the legality tables. Stages with no incident arc are flagged as
-    warnings since a bare single-stage thimac is meaningful.
+    against the legality tables, an elided arrow hop by hop along its chain.
+    Stages with no incident arc are warnings: a bare thimac is meaningful.
     """
     diags: list[dg.Diagnostic] = []
     touched: set[StageRef] = set()
+    chains = elided_chains(model)
     for arc in model.arcs:
         touched.update((arc.src, arc.dst))
         if arc.kind is _TRIGGER:
             if arc.src == arc.dst:
                 diags.append(dg.warning(dg.TRIGGER_SELF, f"trigger '{arc.id}' loops on {arc.src}", (arc.id,)))
-        elif arc.dst.kind is C and not (model.notation is Notation.SIMPLIFIED and arc.cross_machine):
+        elif (chain := chains.get(arc.id)) is None and arc.dst.kind is C:
             message = f"flow '{arc.id}' enters {arc.dst}; things are born there, creation is trigger-only"
             diags.append(dg.error(dg.CREATE_INFLOW, message, (arc.id,)))
-        elif not flow_legal(arc.src, arc.dst, model.notation):
+        elif not (flow_legal(arc.src, arc.dst) if chain is None else _chain_legal(chain)):
             message = f"flow '{arc.id}' {arc.src} -> {arc.dst} is not a legal move in {model.notation.value} notation"
             diags.append(dg.warning(dg.FLOW_ILLEGAL, message, (arc.id,)))
 
@@ -101,44 +114,31 @@ def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
     return dg.sort_diagnostics(diags)
 
 
-# ---------------------------------------------------------------------------
-# Desugaring
-
-# The stages a thing passes through on each side of a cross-machine move: out through release and
-# transfer, in through transfer and receive, or arrive and accept on a machine that declares them.
-SENDING, RECEIVING, ARRIVING = (R, T), (T, V), (T, A, X)
-
-
 def desugar(model: StaticModel) -> StaticModel:
     """Expand a simplified model into full notation.
 
-    Each elided cross-machine flow src -> dst becomes the chain
-    src -> release -> transfer => transfer -> receive -> dst, inserting only
+    Each arrow that ``elided_chains`` names becomes its chain, inserting only
     the stages and arcs not already present. The hop into a create stage is
-    emitted as a trigger, since creation admits no incoming flow. The result
-    passes full-notation validation whenever the input passed simplified
-    validation.
+    emitted as a trigger, since creation admits no incoming flow. An elided
+    arrow is legal iff every hop of its chain is, so the result passes
+    full-notation validation whenever the input passed simplified validation.
     """
-    if model.notation is not Notation.SIMPLIFIED:
+    if model.notation is not _SIMPLIFIED:
         raise NotSimplified(f"model '{model.name}' is already in full notation")
 
+    chains = elided_chains(model)
     needed: dict[str, set[StageKind]] = {}
     arcs: list[Arc] = []
     present = {(a.kind, a.src, a.dst) for a in model.arcs}
     taken = {a.id for a in model.arcs}
     for arc in model.arcs:
-        src, dst = arc.src, arc.dst
-        if arc.kind is _TRIGGER or not arc.cross_machine or (src.kind, dst.kind) in CROSS_FLOWS:
+        if (chain := chains.get(arc.id)) is None:
             arcs.append(arc)
             continue
-
-        out = SENDING[SENDING.index(src.kind) :] if src.kind in SENDING else (src.kind, *SENDING)
-        entry = ARRIVING if {A, X} & model.thimac(dst.thimac).stages else RECEIVING
-        into = entry[: entry.index(dst.kind) + 1] if dst.kind in entry else (*entry, dst.kind)
-        needed.setdefault(src.thimac, set()).update(out)
-        needed.setdefault(dst.thimac, set()).update(into)
-
-        path = [StageRef(src.thimac, k) for k in out] + [StageRef(dst.thimac, k) for k in into]
+        path = []
+        for machine, side in zip((arc.src.thimac, arc.dst.thimac), chain):
+            needed.setdefault(machine, set()).update(side)
+            path += [StageRef(machine, k) for k in side]
         n = 1
         for u, v in zip(path, path[1:]):
             key = (_TRIGGER if v.kind is C else _FLOW, u, v)

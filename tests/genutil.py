@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 import string
 
+from tmkit import diagnostics as dg
 from tmkit.behavior import Chronology, ExclusiveGroup, Trace
 from tmkit.events import Event, Subdiagram
 from tmkit.model import (
@@ -16,7 +17,7 @@ from tmkit.model import (
     build_model,
 )
 from tmkit.syntax import Document
-from tmkit.validate import INTRA_FLOWS, SIMPLIFIED_CROSS_DST, SIMPLIFIED_CROSS_SRC
+from tmkit.validate import validate_static
 
 NAUGHTY_LABELS = ['plain', 'with "quotes"', "back\\slash", "tab\there", "uni: Δ→é", "new\nline", ""]
 
@@ -104,7 +105,7 @@ def random_document(rng: random.Random) -> Document:
         chronologies.append(
             Chronology(
                 id=fresh_id(rng, taken, "c"),
-                event_ids=tuple(sorted(event_ids)),  # every event, which holds all the items mention
+                event_ids=tuple(sorted(event_ids)),  # states every event, so each one is in it
                 edges=tuple(edges),
                 groups=tuple(groups),
                 start=start,
@@ -149,13 +150,10 @@ def random_simplified_model(rng: random.Random) -> StaticModel:
         src, dst = rng.choice(refs), rng.choice(refs)
         if src == dst or (src, dst) in seen_pairs:
             continue
-        cross = src.thimac != dst.thimac
-        if cross:
-            if src.kind not in SIMPLIFIED_CROSS_SRC or dst.kind not in SIMPLIFIED_CROSS_DST:
-                continue
-        else:
-            if (src.kind, dst.kind) not in INTRA_FLOWS or dst.kind is StageKind.CREATE:
-                continue
+        # keep the flow iff validate_static finds it legal, as the only arc of the skeleton
+        alone = build_model("m", thimacs, [Arc("f", ArcKind.FLOW, src, dst)], Notation.SIMPLIFIED)
+        if any(d.code in (dg.FLOW_ILLEGAL, dg.CREATE_INFLOW) for d in validate_static(alone)):
+            continue
         seen_pairs.add((src, dst))
         arcs.append(Arc(fresh_id(rng, taken, "f"), ArcKind.FLOW, src, dst))
 

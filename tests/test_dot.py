@@ -47,7 +47,7 @@ def test_behavior_dot_matches_chronology(airport):
     text = to_dot(airport, RenderOptions(level=Level.BEHAVIOR))
     nodes, edges = read_nodes_and_edges(text)
     chron = airport.chronologies[0]
-    assert nodes == set(chron.event_ids)
+    assert nodes == chron.events
     assert edges == set(chron.edges)
     assert "// exclusive start" in text and "// exclusive branch" in text
 

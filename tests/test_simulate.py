@@ -556,3 +556,15 @@ def test_every_move_sequence_reaches_exactly_the_runs():
                 assert enabled, (draw, state.log)  # a deadlock
             stack.extend(fire_event(state, e) for e in enabled)
         assert reached == {frozenset(r) for r in enumerate_runs(chron)}, draw
+
+
+def test_tmkit_simulate_is_the_function_and_the_step_api_is_in_its_module():
+    import tmkit
+    import tmkit.simulate as bound
+    from tmkit.simulate import enabled_events as step_enabled, fire_event as step_fire, initial_state as step_initial
+
+    module = importlib.import_module("tmkit.simulate")
+    assert bound is tmkit.simulate is module.simulate
+    assert (step_initial, step_enabled, step_fire) == (module.initial_state, module.enabled_events, module.fire_event)
+    for name in ("initial_state", "enabled_events", "fire_event"):
+        assert not hasattr(tmkit, name) and name not in tmkit.__all__

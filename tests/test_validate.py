@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 import sys
 from dataclasses import replace
@@ -27,7 +28,7 @@ from genutil import random_simplified_model
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 import gen  # noqa: E402
 
-C, P, R, T, V = StageKind.CREATE, StageKind.PROCESS, StageKind.RELEASE, StageKind.TRANSFER, StageKind.RECEIVE
+C, P, R, T, V, A, X = StageKind
 
 
 def two_machines(notation, *arcs):
@@ -185,13 +186,13 @@ def test_desugar_expands_flows_out_of_transfer_and_into_each_entry_stage():
         "  flow g: a.process -> b.transfer;\n"  # into transfer
         "  flow h: a.process -> b.receive;\n"  # into receive: every hop is there already
         "  flow i: b.process -> c.arrive;\n"  # into arrive
-        "  flow j: b.process -> c.accept;\n"  # into accept: no simplified move, yet a full chain
+        "  flow j: b.process -> c.accept;\n"  # into accept, through arrive
         "  flow k: c.accept -> c.process;\n"
         "  flow f_x1: a.process -> a.release;\n"  # the first id generated for f is taken
         "}\n"
     )
     doc = parse_text(text).document
-    assert codes(validate_static(doc.model)) == [dg.FLOW_ILLEGAL]
+    assert validate_static(doc.model) == []
     full = desugar(doc.model)
     assert print_document(replace(doc, model=full)) == (
         "model m {\n"
@@ -212,6 +213,34 @@ def test_desugar_expands_flows_out_of_transfer_and_into_each_entry_stage():
         "}\n"
     )
     assert validate_static(full) == []
+
+
+# The 18 (source kind, target kind, target mode) cells of a lone cross-machine flow whose
+# verdict changed when an elided arrow came to be judged by its chain. None has an arrive
+# source, whose chain starts with the illegal hop arrive -> release.
+# - Into accept on an arrive/accept target: illegal before, legal now. This is the fix.
+# - Into accept on a receive target, which then fails E-MODE: the chain enters through
+#   arrive, as on any target that declares accept, and is legal.
+# - Into receive on an arrive/accept target, which then fails E-MODE: the chain ends
+#   accept -> receive, which is not a legal hop.
+CHANGED_BY_CHAINS = {(s, d, mode) for s in StageKind if s is not A for d, mode in ((X, "arrive"), (X, "receive"), (V, "arrive"))}
+
+
+def test_an_elided_flow_is_legal_iff_every_hop_of_its_chain_is():
+    cells = {}
+    for src, dst, mode in itertools.product(StageKind, StageKind, ("receive", "arrive")):
+        entry = {V} if mode == "receive" else {A, X}
+        decls = [Thimac("a", "A", frozenset({src})), Thimac("b", "B", frozenset({dst}) | entry)]
+        arcs = [Arc("f", ArcKind.FLOW, StageRef("a", src), StageRef("b", dst))]
+        m = build_model("m", decls, arcs, Notation.SIMPLIFIED)
+        cells[src, dst, mode] = found = codes(validate_static(m))
+        assert dg.CREATE_INFLOW not in found
+        # the desugaring adds exactly the chain's hops, which full notation judges one by one
+        assert (dg.FLOW_ILLEGAL in found) == (dg.FLOW_ILLEGAL in codes(validate_static(desugar(m)))), (src, dst, mode)
+    assert len(cells) == 98
+    # the rule before chains: legal from any source but arrive into any target but accept
+    before = {cell for cell in cells if cell[:2] != (T, T) and (cell[0] is A or cell[1] is X)}
+    assert {cell for cell, found in cells.items() if dg.FLOW_ILLEGAL in found} == before ^ CHANGED_BY_CHAINS
 
 
 # The SHA-256 of the printed desugaring of 507 simplified models: random models
