@@ -13,14 +13,13 @@ import heapq
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import chain, compress
-from typing import AbstractSet, Hashable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import AbstractSet, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
 
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
 from .events import Event
 
 
-@dataclass(frozen=True)
-class ExclusiveGroup:
+class ExclusiveGroup(NamedTuple):
     """Pairwise alternatives: at most one member may occur in a run."""
 
     name: str
@@ -138,8 +137,7 @@ class Chronology:
         return frozenset(reach)
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """A single-pass record of event occurrences with integer timestamps."""
 
     id: str
@@ -213,8 +211,7 @@ Violation = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Truth assignment for one (chronology, trace) pair.
 
     Exactly one of ``run`` (when true) and ``violation`` (when false) is set.

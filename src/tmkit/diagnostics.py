@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class Severity(Enum):
@@ -18,8 +19,7 @@ class Severity(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A source location; column and line are 1-based."""
 
     file: str = "<memory>"

@@ -9,8 +9,8 @@ Output is plain deterministic text; layout is left to the DOT consumer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import UnknownHighlightId
 from .model import ArcKind, STAGE_ORDER, StageRef, Thimac
@@ -23,8 +23,7 @@ class Level(Enum):
     BEHAVIOR = "behavior"
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(NamedTuple):
     level: Level = Level.STATIC
     highlight: frozenset[str] = frozenset()
     clusters: bool = True

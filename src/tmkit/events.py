@@ -6,8 +6,7 @@ unit the behavioral model orders.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import diagnostics as dg
 from .model import ArcKind, StageRef, StaticModel
@@ -15,23 +14,20 @@ from .model import ArcKind, StageRef, StaticModel
 _FLOW = ArcKind.FLOW
 
 
-@dataclass(frozen=True)
-class Subdiagram:
+class Subdiagram(NamedTuple):
     id: str
     label: str
     stages: tuple[StageRef, ...] = ()
     arcs: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     id: str
     subdiagram: str
     window: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     uncovered_stages: tuple[StageRef, ...]
     uncovered_arcs: tuple[str, ...]
     multiply_covered: tuple[str, ...]

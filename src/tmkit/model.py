@@ -64,8 +64,7 @@ class ArcKind(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     id: str
     kind: ArcKind
     src: StageRef
@@ -76,8 +75,7 @@ class Arc:
         return self.src.thimac != self.dst.thimac
 
 
-@dataclass(frozen=True)
-class Thimac:
+class Thimac(NamedTuple):
     """A thing/machine unit: a set of stages plus nested subthimacs.
 
     ``things`` seeds thing-instance labels for the simulator; ``memory`` is a

@@ -31,12 +31,14 @@ _CREATE, _PROCESS, _RELEASE, _TRANSFER = StageKind.CREATE, StageKind.PROCESS, St
 _FLOW = ArcKind.FLOW
 
 
-@dataclass(frozen=True)
 class Retired:
     """The thing has left the system; it never acts again."""
 
     def __str__(self) -> str:
         return "retired"
+
+    def __repr__(self) -> str:
+        return "Retired()"
 
 
 RETIRED = Retired()
@@ -51,7 +53,6 @@ class ThingInstance(NamedTuple):
     tags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class BranchPolicy:
     pass
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, count
 from types import MappingProxyType
-from typing import Callable, Optional, TypeVar
+from typing import Callable, NamedTuple, Optional, TypeVar
 
 from . import diagnostics as dg
 from .behavior import Chronology, ExclusiveGroup, Trace, check_trace_shape
@@ -82,8 +82,7 @@ class Document:
     spans: Mapping[str, int] = field(default_factory=dict, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     document: Optional[Document]
     diagnostics: list[dg.Diagnostic]
 

@@ -10,7 +10,6 @@ arrow by its chain and ``desugar`` inserts the chain.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import cache
 
 from . import diagnostics as dg
@@ -104,8 +103,8 @@ def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
             diags.append(dg.warning(dg.FLOW_ILLEGAL, message, (arc.id,)))
 
     for t in model.walk():
-        arrive_accept = {A, X} & t.stages
-        if arrive_accept and (arrive_accept != {A, X} or V in t.stages):
+        arrive = A in t.stages
+        if arrive != (X in t.stages) or (arrive and V in t.stages):
             message = f"thimac '{t.id}' must declare arrive and accept together, replacing receive"
             diags.append(dg.error(dg.MODE, message, (t.id,)))
     for ref in model.stages.keys() - touched:
@@ -152,6 +151,6 @@ def desugar(model: StaticModel) -> StaticModel:
             n += 1
 
     def grow(t: Thimac) -> Thimac:
-        return replace(t, stages=t.stages.union(needed.get(t.id, ())), children=tuple(map(grow, t.children)))
+        return t._replace(stages=t.stages.union(needed.get(t.id, ())), children=tuple(map(grow, t.children)))
 
     return StaticModel(model.name, tuple(map(grow, model.roots)), tuple(arcs), Notation.FULL)

@@ -1,24 +1,24 @@
 """Growth gates by counted work, not by time.
 
-Each row counts the calls one layer makes on ``gen.chain`` (seed 1) at four
-doubling sizes, fits the slope of log(calls) against log(size) and asserts that
-it is at most the row's bound. Chain has a single run, so the run layers have
-rows of their own on ``gen.branchy`` (seed 1), whose run count doubles with
-each diamond; their size is the events of all runs together, since each run
-of k diamonds holds 2k + 1 events and a linear layer does a little work per
-event of each run. Counted work is deterministic where timings on a
+Each row counts the bytecodes one layer runs on ``gen.chain`` (seed 1) at four
+doubling sizes, fits the slope of log(count) against log(size) and asserts
+that it is at most the row's bound. Chain has a single run, so the run layers
+have rows of their own on ``gen.branchy`` (seed 1), whose run count doubles
+with each diamond; their size is the events of all runs together, since each
+run of k diamonds holds 2k + 1 events and a linear layer does a little work
+per event of each run. Counted work is deterministic where timings on a
 shared host are not; trend-prof fits its power laws to counts for the same
 reason (Goldsmith, Aiken & Wilkerson, "Measuring empirical computational
 complexity", 2007).
 
-The counter is a ``sys.setprofile`` hook that counts ``call`` and ``c_call``
-events. A C call counts as one, so work inside a regular expression, a sort or
-a set operation is invisible to it, and so is an ``in`` test on a list of
-strings, which makes no call at all. So is work that copies or concatenates:
-each firing of ``simulate`` copies the fired set and the log, and the chain's
-one item gains a tag per hop, so the firings copy O(N) items each and the
-simulation's time grows faster than its counted calls. The counts differ
-between Python versions (3.12 inlines comprehensions); the slopes should not.
+The counter sees every bytecode of Python code, comprehensions and generators
+included, but it counts one for work done inside a single bytecode or C call:
+an ``in`` test on a list, set algebra, a sort, a regular expression, a copy or
+a concatenation. So each firing of ``simulate`` copying the fired set and the
+log, while the chain's one item gains a tag per hop, is O(N) work per firing
+that the count does not show; a wall-clock sweep has to. The counts differ
+between Python versions (3.12 inlines comprehensions, and each version has its
+own instructions); the slopes should not.
 """
 import math
 import random
@@ -43,22 +43,44 @@ SIZES = (50, 100, 200, 400)
 SLOPE_BOUND = 1.15  # a layer that is linear on chain today
 
 
-def count_calls(fn, *args) -> int:
-    """The call and c_call events while ``fn(*args)`` runs, its own call included."""
-    calls = 0
+def count_opcodes(fn, *args) -> int:
+    """The bytecodes run while ``fn(*args)`` runs: the INSTRUCTION events of
+    ``sys.monitoring`` from Python 3.12 on, the opcode events of ``sys.settrace``
+    before. (Under 3.12 and 3.13, ``sys.settrace`` under-counts the first traced
+    call of each function.)"""
+    count = 0
 
-    def hook(frame, event, arg):
-        nonlocal calls
-        if event == "call" or event == "c_call":
-            calls += 1
+    def step(code, offset) -> None:
+        nonlocal count
+        count += 1
 
-    before = sys.getprofile()
-    sys.setprofile(hook)
+    def trace(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        elif event == "call":
+            frame.f_trace_lines, frame.f_trace_opcodes = False, True
+        return trace
+
+    if hasattr(sys, "monitoring"):
+        mon, tool = sys.monitoring, sys.monitoring.PROFILER_ID
+        mon.use_tool_id(tool, "count_opcodes")
+        mon.register_callback(tool, mon.events.INSTRUCTION, step)
+        mon.set_events(tool, mon.events.INSTRUCTION)
+        try:
+            fn(*args)
+        finally:
+            mon.set_events(tool, 0)
+            mon.register_callback(tool, mon.events.INSTRUCTION, None)
+            mon.free_tool_id(tool)
+        return count
+    before = sys.gettrace()
+    sys.settrace(trace)
     try:
         fn(*args)
     finally:
-        sys.setprofile(before)
-    return calls
+        sys.settrace(before)
+    return count
 
 
 def slope(sizes, counts) -> float:
@@ -78,22 +100,22 @@ def chain(machines: int, seed: int = 1) -> tuple[SourceFile, Document]:
 
 def _build_model(src: SourceFile, doc: Document) -> int:
     m = doc.model
-    return count_calls(build_model, m.name, m.roots, m.arcs, m.notation)
+    return count_opcodes(build_model, m.name, m.roots, m.arcs, m.notation)
 
 
 def _check_subdiagrams(src: SourceFile, doc: Document) -> int:
-    return count_calls(lambda: [check_subdiagram(doc.model, sub) for sub in doc.subdiagrams])
+    return count_opcodes(lambda: [check_subdiagram(doc.model, sub) for sub in doc.subdiagrams])
 
 
 def _simulate(src: SourceFile, doc: Document) -> int:
     chron = build_chronology(doc.events, doc.chronologies[0])
-    return count_calls(simulate, doc.model, doc.subdiagrams, doc.events, chron, Seeded(0))
+    return count_opcodes(simulate, doc.model, doc.subdiagrams, doc.events, chron, Seeded(0))
 
 
 def _models_isomorphic(src: SourceFile, doc: Document) -> int:
     # against seed 2: the same structure under other ids, where every relay machine looks alike
     other = chain(len(doc.model.roots) - 1, seed=2)[1]
-    return count_calls(models_isomorphic, doc.model, other.model)
+    return count_opcodes(models_isomorphic, doc.model, other.model)
 
 
 @cache
@@ -105,26 +127,26 @@ def simplified(machines: int):
 
 def _evaluate_trace(src: SourceFile, doc: Document) -> int:
     chron = build_chronology(doc.events, doc.chronologies[0])
-    return count_calls(evaluate_trace, chron, doc.traces[0])
+    return count_opcodes(evaluate_trace, chron, doc.traces[0])
 
 
-# the calls each layer makes on one chain document
+# the bytecodes each layer runs on one chain document
 LAYERS = {
-    "syntax._tokenize": lambda src, doc: count_calls(_tokenize, src.text),
-    "syntax.parse": lambda src, doc: count_calls(parse, src),
+    "syntax._tokenize": lambda src, doc: count_opcodes(_tokenize, src.text),
+    "syntax.parse": lambda src, doc: count_opcodes(parse, src),
     "model.build_model": _build_model,
     "model.models_isomorphic": _models_isomorphic,
-    "validate.validate_static": lambda src, doc: count_calls(validate_static, doc.model),
-    "validate.validate_static simplified": lambda src, doc: count_calls(validate_static, simplified(len(doc.model.roots) - 1)),
-    "validate.desugar": lambda src, doc: count_calls(desugar, simplified(len(doc.model.roots) - 1)),
-    "syntax.print_document": lambda src, doc: count_calls(print_document, doc),
+    "validate.validate_static": lambda src, doc: count_opcodes(validate_static, doc.model),
+    "validate.validate_static simplified": lambda src, doc: count_opcodes(validate_static, simplified(len(doc.model.roots) - 1)),
+    "validate.desugar": lambda src, doc: count_opcodes(desugar, simplified(len(doc.model.roots) - 1)),
+    "syntax.print_document": lambda src, doc: count_opcodes(print_document, doc),
     "events.check_subdiagram": _check_subdiagrams,
-    "events.coverage": lambda src, doc: count_calls(coverage, doc.model, doc.subdiagrams),
-    "events.eventize": lambda src, doc: count_calls(eventize, doc.subdiagrams, doc.events),
-    "behavior.build_chronology": lambda src, doc: count_calls(build_chronology, doc.events, doc.chronologies[0]),
+    "events.coverage": lambda src, doc: count_opcodes(coverage, doc.model, doc.subdiagrams),
+    "events.eventize": lambda src, doc: count_opcodes(eventize, doc.subdiagrams, doc.events),
+    "behavior.build_chronology": lambda src, doc: count_opcodes(build_chronology, doc.events, doc.chronologies[0]),
     "behavior.evaluate_trace": _evaluate_trace,
-    "dot.to_dot static": lambda src, doc: count_calls(to_dot, doc, RenderOptions(Level.STATIC)),
-    "dot.to_dot behavior": lambda src, doc: count_calls(to_dot, doc, RenderOptions(Level.BEHAVIOR)),
+    "dot.to_dot static": lambda src, doc: count_opcodes(to_dot, doc, RenderOptions(Level.STATIC)),
+    "dot.to_dot behavior": lambda src, doc: count_opcodes(to_dot, doc, RenderOptions(Level.BEHAVIOR)),
     "simulate.simulate": _simulate,
 }
 
@@ -150,12 +172,12 @@ def branchy(diamonds: int) -> tuple[gen.BranchyDoc, Document]:
 def _evaluate_true_traces(b: gen.BranchyDoc, doc: Document) -> int:
     chron = build_chronology(doc.events, doc.chronologies[0])
     traces = [t for t in doc.traces if t.id in b.true_traces]  # one per run
-    return count_calls(lambda: [evaluate_trace(chron, t) for t in traces])
+    return count_opcodes(lambda: [evaluate_trace(chron, t) for t in traces])
 
 
-# the calls each run layer makes on one branchy document, from a fresh chronology
+# the bytecodes each run layer runs on one branchy document, from a fresh chronology
 RUN_LAYERS = {
-    "behavior.enumerate_runs": lambda b, doc: count_calls(enumerate_runs, build_chronology(doc.events, doc.chronologies[0])),
+    "behavior.enumerate_runs": lambda b, doc: count_opcodes(enumerate_runs, build_chronology(doc.events, doc.chronologies[0])),
     "behavior.evaluate_trace": _evaluate_true_traces,
 }
 

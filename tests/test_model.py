@@ -254,7 +254,7 @@ def shuffled_siblings(rng, model):
     """The same model with every list of sibling thimacs in another order."""
 
     def shuffle(thimacs):
-        thimacs = [replace(t, children=shuffle(t.children)) for t in thimacs]
+        thimacs = [t._replace(children=shuffle(t.children)) for t in thimacs]
         rng.shuffle(thimacs)
         return tuple(thimacs)
 
@@ -276,7 +276,7 @@ def renamed_copy(rng, model):
     ids = {t.id: fresh_id(rng, taken, "r") for t in model.walk()}
 
     def rename(thimacs):
-        return tuple(replace(t, id=ids[t.id], children=rename(t.children)) for t in thimacs)
+        return tuple(t._replace(id=ids[t.id], children=rename(t.children)) for t in thimacs)
 
     arcs = [
         Arc(fresh_id(rng, taken, "b"), a.kind, StageRef(ids[a.src.thimac], a.src.kind), StageRef(ids[a.dst.thimac], a.dst.kind))
@@ -309,7 +309,7 @@ def test_iso_finds_a_renamed_copy_and_agrees_with_backtracking():
         if b.arcs:  # the copy with one arc endpoint moved
             arcs = list(b.arcs)
             j = rng.randrange(len(arcs))
-            arcs[j] = replace(arcs[j], **{rng.choice(["src", "dst"]): rng.choice(list(b.stages))})
+            arcs[j] = arcs[j]._replace(**{rng.choice(["src", "dst"]): rng.choice(list(b.stages))})
             others.append(replace(b, arcs=tuple(arcs)))
         for other in others:
             result = models_isomorphic(a, other)

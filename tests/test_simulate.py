@@ -492,7 +492,7 @@ def test_enabled_events_match_the_run_oracle():
         for i, ev in enumerate(events):
             if rng.random() < 0.3:
                 t0 = rng.randint(0, 8)
-                events[i] = replace(ev, window=(t0, t0 + rng.randint(0, 6)))
+                events[i] = ev._replace(window=(t0, t0 + rng.randint(0, 6)))
         walk_against_the_oracle(build_chronology(events, decl), rng)
 
 
