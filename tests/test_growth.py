@@ -9,7 +9,9 @@ run of k diamonds holds 2k + 1 events and a linear layer does a little work
 per event of each run. Counted work is deterministic where timings on a
 shared host are not; trend-prof fits its power laws to counts for the same
 reason (Goldsmith, Aiken & Wilkerson, "Measuring empirical computational
-complexity", 2007).
+complexity", 2007). Each row counts cold: it parses its document afresh from the
+cached text and clears tmkit's module caches first, so its count does not
+depend on which rows ran before it, and ``pytest -k <row>`` reproduces it.
 
 The counter sees every bytecode of Python code, comprehensions and generators
 included, but it counts one for work done inside a single bytecode or C call:
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from tmkit import validate
 from tmkit.behavior import build_chronology, enumerate_runs, evaluate_trace
 from tmkit.dot import Level, RenderOptions, to_dot
 from tmkit.events import check_subdiagram, coverage, eventize
@@ -90,12 +93,23 @@ def slope(sizes, counts) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
-@cache
-def chain(machines: int, seed: int = 1) -> tuple[SourceFile, Document]:
-    src = SourceFile("chain.tm", gen.chain(random.Random(seed), machines).text)
+def cold(path: str, text: str) -> tuple[SourceFile, Document]:
+    """``text`` parsed afresh, after clearing the module caches that a counted layer fills."""
+    validate._chain.cache_clear()
+    validate._chain_legal.cache_clear()
+    src = SourceFile(path, text)
     doc = parse(src).document
     assert doc is not None
     return src, doc
+
+
+@cache
+def chain_text(machines: int, seed: int = 1) -> str:
+    return gen.chain(random.Random(seed), machines).text
+
+
+def chain(machines: int, seed: int = 1) -> tuple[SourceFile, Document]:
+    return cold("chain.tm", chain_text(machines, seed))
 
 
 def _build_model(src: SourceFile, doc: Document) -> int:
@@ -119,10 +133,13 @@ def _models_isomorphic(src: SourceFile, doc: Document) -> int:
 
 
 @cache
+def simplified_text(machines: int) -> str:
+    return gen.chain(random.Random(1), machines).simplified_text
+
+
 def simplified(machines: int):
     """The same chain in simplified notation, where every hop is an elided arrow."""
-    text = gen.chain(random.Random(1), machines).simplified_text
-    return parse(SourceFile("chain.tm", text)).document.model
+    return cold("chain.tm", simplified_text(machines))[1].model
 
 
 def _evaluate_trace(src: SourceFile, doc: Document) -> int:
@@ -162,11 +179,13 @@ DIAMONDS = (3, 4, 5, 6)  # 8 to 64 runs
 
 
 @cache
+def branchy_doc(diamonds: int) -> gen.BranchyDoc:
+    return gen.branchy(random.Random(1), diamonds)
+
+
 def branchy(diamonds: int) -> tuple[gen.BranchyDoc, Document]:
-    b = gen.branchy(random.Random(1), diamonds)
-    doc = parse(SourceFile("branchy.tm", b.text)).document
-    assert doc is not None
-    return b, doc
+    b = branchy_doc(diamonds)
+    return b, cold("branchy.tm", b.text)[1]
 
 
 def _evaluate_true_traces(b: gen.BranchyDoc, doc: Document) -> int:
@@ -184,7 +203,7 @@ RUN_LAYERS = {
 
 @pytest.mark.parametrize("layer", RUN_LAYERS)
 def test_a_run_layer_stays_linear_in_the_runs_on_branchy(layer):
-    sizes = [sum(map(len, branchy(k)[0].runs)) for k in DIAMONDS]
+    sizes = [sum(map(len, branchy_doc(k).runs)) for k in DIAMONDS]
     counts = [RUN_LAYERS[layer](*branchy(k)) for k in DIAMONDS]
     assert counts == sorted(counts) and counts[0] > 0, counts
     assert slope(sizes, counts) <= SLOPE_BOUND, dict(zip(sizes, counts))

@@ -40,7 +40,7 @@ def agree(text: str) -> bool:
 
 
 _HEAD = 'model m {\n  thimac a "A" { stages: create, process; things: "x"; }\n  flow f: a.create -> a.process;\n}\n'
-# valid documents in forms a regular expression reader can miss, the first two as CI writes them
+# valid documents in forms a regular expression reader can miss, the first two and the last two as CI writes them
 FORMS = {
     "an escaped quote": 'model m { thimac a "A\\"B" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
     "event A = s\nchronology c { events: A; }\n",
@@ -58,6 +58,12 @@ FORMS = {
     "event A = s window 0 # f\n .. # g\n 5\nevent B = s\n"
     "chronology c { A # h\n -> # i\n B; exclusive # j\n g { A # k\n | B }; start: A # l\n; end: # m\n B; }\n"
     "trace t = [ A # n\n @ # o\n 0 , # p\n B @ 1 ]\n",
+    # a text beyond ASCII is read by the patterns compiled for any text, whose \d takes these numerals as int() does
+    "numerals beyond ASCII": 'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
+    "event A = s window ٠..٥\nevent B = s\nchronology c { A -> B; }\ntrace t = [ A @ ٣, B @ ٤ ]\n",
+    "a label beyond ASCII in a model with ASCII identifiers": 'model m {\n  thimac a "Ärger ✈" { stages: create, process; '
+    'things: "göods", "x"; }\n  flow f: a.create -> a.process;\n}\nsubdiagram s "Σ — über" { stages: a.create, a.process; '
+    'arcs: f; }\nevent A = s\nchronology c { events: A; }\n',
 }
 
 
