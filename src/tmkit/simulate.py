@@ -17,10 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from . import behavior
-from .behavior import Chronology, ExclusiveGroup, Trace, search_runs, topological_order
+from .behavior import Chronology, Trace, search_runs, topological_order
 from .errors import Deadlock, IllegalAction, NotEnabled, PolicyError
 from .events import Event, Subdiagram
 from .model import Arc, ArcKind, StageKind, StageRef, StaticModel
@@ -76,13 +76,6 @@ class Scripted(BranchPolicy):
 
     choices: tuple[tuple[str, str], ...]
 
-    @cached_property
-    def _by_group(self) -> dict[str, str]:
-        return dict(self.choices)
-
-    def chosen(self, group_name: str) -> Optional[str]:
-        return self._by_group.get(group_name)
-
 
 class _Plan(NamedTuple):
     """What firing a subdiagram does, each part in flow order."""
@@ -134,12 +127,6 @@ class SimContext:
         """Stages with a flow into another machine. A thing its own machine
         moves to a transfer stage outside this set leaves the system."""
         return frozenset(a.src for a in self.model.arcs if a.kind is _FLOW and a.cross_machine)
-
-    @cached_property
-    def group_of(self) -> dict[str, ExclusiveGroup]:
-        """The group a scripted choice for an event is looked up in: the
-        last declared one that holds it."""
-        return {m: g for g in self.chronology.groups for m in g.members}
 
 
 @dataclass(frozen=True)
@@ -311,25 +298,28 @@ def fire_event(state: SimState, event_id: str) -> SimState:
 # Whole-run simulation
 
 
-def _choose(
-    enabled: list[str], done: bool, ctx: SimContext, policy: BranchPolicy, rng: Optional[random.Random]
-) -> Optional[str]:
-    """The event the policy fires next, or None when it stops; ``done`` says
-    whether the fired events form a run, which stopping needs."""
+def _chooser(policy: BranchPolicy, chronology: Chronology) -> Callable[[list[str], bool], Optional[str]]:
+    """The policy's choice, built once: ``choose(enabled, done)`` is the event
+    it fires next, or None when it stops; ``done`` says whether the fired
+    events form a run, which stopping needs."""
     if isinstance(policy, Seeded):
-        assert rng is not None
-        return rng.choice(enabled + [None] if done else enabled)
-    assert isinstance(policy, Scripted)
-    group_of = ctx.group_of
-    choosable = [e for e in enabled if (g := group_of.get(e)) is None or policy.chosen(g.name) == e]
-    if choosable:
-        return choosable[0]
-    if done:
-        return None
-    uncovered = sorted({group_of[e].name for e in enabled if policy.chosen(group_of[e].name) is None})
-    if uncovered:
-        raise PolicyError(f"no scripted choice for exclusive group(s): {', '.join(uncovered)}")
-    raise PolicyError("the scripted choices rule out every enabled event")
+        rng = random.Random(policy.seed)
+        return lambda enabled, done: rng.choice(enabled + [None] if done else enabled)
+    chosen = dict(policy.choices)
+    group_of = {m: g.name for g in chronology.groups for m in g.members}  # the last declared group holding each
+
+    def choose(enabled: list[str], done: bool) -> Optional[str]:
+        choosable = [e for e in enabled if (g := group_of.get(e)) is None or chosen.get(g) == e]
+        if choosable:
+            return choosable[0]
+        if done:
+            return None
+        uncovered = sorted({group_of[e] for e in enabled if group_of[e] not in chosen})
+        if uncovered:
+            raise PolicyError(f"no scripted choice for exclusive group(s): {', '.join(uncovered)}")
+        raise PolicyError("the scripted choices rule out every enabled event")
+
+    return choose
 
 
 def _deadlock(state: SimState) -> Deadlock:
@@ -362,7 +352,7 @@ def simulate(
     check_subdiagram and every event eventize, as in a checked document.
     """
     state = initial_state(model, subdiagrams, events, chronology)
-    rng = random.Random(policy.seed) if isinstance(policy, Seeded) else None
+    choose = _chooser(policy, chronology)
     while True:
         enabled = enabled_events(state)
         # a run leaves no fired event unfinished, so only then is the set checked;
@@ -370,7 +360,7 @@ def simulate(
         done = not state.unfinished and behavior.run_set_valid(chronology, state.fired)
         if not enabled and not done:
             raise _deadlock(state)
-        event_id = _choose(enabled, done, state.ctx, policy, rng)
+        event_id = choose(enabled, done)
         if event_id is None:
             return Trace(trace_id, state.log)
         state = fire_event(state, event_id)

@@ -10,8 +10,6 @@ arrow by its chain and ``desugar`` inserts the chain.
 """
 from __future__ import annotations
 
-from functools import cache
-
 from . import diagnostics as dg
 from .errors import NotSimplified
 from .model import Arc, ArcKind, Notation, StageKind, StageRef, StaticModel, Thimac
@@ -37,6 +35,20 @@ SENDING, RECEIVING, ARRIVING = (R, T), (T, V), (T, A, X)
 Chain = tuple[tuple[StageKind, ...], tuple[StageKind, ...]]
 # A legal hop on one side of a chain: an intra-machine flow, or a trigger into creation.
 _SIDE_HOPS = INTRA_FLOWS | {(k, C) for k in StageKind}
+# Every chain an elided arrow can stand for, by its source's stage kind, its target's, and whether the
+# target's machine declares arrive or accept: 7 x 7 x 2, built once.
+_CHAINS: dict[tuple[StageKind, StageKind, bool], Chain] = {
+    (src, dst, arriving): (
+        SENDING[SENDING.index(src) :] if src in SENDING else (src, *SENDING),
+        entry[: entry.index(dst) + 1] if dst in entry else (*entry, dst),
+    )
+    for src in StageKind
+    for dst in StageKind
+    for arriving, entry in ((False, RECEIVING), (True, ARRIVING))
+}
+# The chains every hop of which is legal in full notation. The sides meet transfer to transfer,
+# and the hop into a create stage is a trigger.
+_LEGAL_CHAINS = frozenset(c for c in _CHAINS.values() if all(_SIDE_HOPS.issuperset(zip(s, s[1:])) for s in c))
 
 
 def elided_chains(model: StaticModel) -> dict[str, Chain]:
@@ -56,23 +68,8 @@ def elided_chains(model: StaticModel) -> dict[str, Chain]:
         if arc.kind is _TRIGGER or src.thimac == dst.thimac or (src.kind, dst.kind) in CROSS_FLOWS:
             continue
         stages = model.thimac(dst.thimac).stages
-        chains[arc.id] = _chain(src.kind, dst.kind, A in stages or X in stages)
+        chains[arc.id] = _CHAINS[src.kind, dst.kind, A in stages or X in stages]
     return chains
-
-
-@cache  # keyed by stage kinds, so it holds at most 98 chains
-def _chain(src: StageKind, dst: StageKind, arriving: bool) -> Chain:
-    entry = ARRIVING if arriving else RECEIVING
-    out = SENDING[SENDING.index(src) :] if src in SENDING else (src, *SENDING)
-    return out, entry[: entry.index(dst) + 1] if dst in entry else (*entry, dst)
-
-
-@cache  # keyed by the chains _chain makes
-def _chain_legal(chain: Chain) -> bool:
-    """Whether every hop of an elided arrow's chain is legal in full notation. The
-    sides meet transfer to transfer, and the hop into a create stage is a trigger."""
-    out, into = chain
-    return _SIDE_HOPS.issuperset(zip(out, out[1:])) and _SIDE_HOPS.issuperset(zip(into, into[1:]))
 
 
 def flow_legal(src: StageRef, dst: StageRef) -> bool:
@@ -98,7 +95,7 @@ def validate_static(model: StaticModel) -> list[dg.Diagnostic]:
         elif (chain := chains.get(aid)) is None and dst.kind is C:
             message = f"flow '{aid}' enters {dst}; things are born there, creation is trigger-only"
             diags.append(dg.error(dg.CREATE_INFLOW, message, (aid,)))
-        elif not (flow_legal(src, dst) if chain is None else _chain_legal(chain)):
+        elif not (flow_legal(src, dst) if chain is None else chain in _LEGAL_CHAINS):
             message = f"flow '{aid}' {src} -> {dst} is not a legal move in {model.notation.value} notation"
             diags.append(dg.warning(dg.FLOW_ILLEGAL, message, (aid,)))
 

@@ -10,8 +10,10 @@ per event of each run. Counted work is deterministic where timings on a
 shared host are not; trend-prof fits its power laws to counts for the same
 reason (Goldsmith, Aiken & Wilkerson, "Measuring empirical computational
 complexity", 2007). Each row counts cold: it parses its document afresh from the
-cached text and clears tmkit's module caches first, so its count does not
-depend on which rows ran before it, and ``pytest -k <row>`` reproduces it.
+cached text, so its count does not depend on which rows ran before it, and
+``pytest -k <row>`` reproduces it. There is no tmkit module cache to clear:
+``validate`` builds its chain tables at import, and the reader's compiled
+grammar is filled by that first parse, before anything is counted.
 
 The counter sees every bytecode of Python code, comprehensions and generators
 included, but it counts one for work done inside a single bytecode or C call:
@@ -30,7 +32,6 @@ from pathlib import Path
 
 import pytest
 
-from tmkit import validate
 from tmkit.behavior import build_chronology, enumerate_runs, evaluate_trace
 from tmkit.dot import Level, RenderOptions, to_dot
 from tmkit.events import check_subdiagram, coverage, eventize
@@ -94,9 +95,7 @@ def slope(sizes, counts) -> float:
 
 
 def cold(path: str, text: str) -> tuple[SourceFile, Document]:
-    """``text`` parsed afresh, after clearing the module caches that a counted layer fills."""
-    validate._chain.cache_clear()
-    validate._chain_legal.cache_clear()
+    """``text`` parsed afresh, so no record that a counted layer caches on is shared between rows."""
     src = SourceFile(path, text)
     doc = parse(src).document
     assert doc is not None
