@@ -69,9 +69,9 @@ class Seeded(BranchPolicy):
 class Scripted(BranchPolicy):
     """Maps exclusive-group names to the member that should fire.
 
-    Fires the first enabled event its choices allow (one in no group, or the
-    chosen member of its group). Stops when no such event is left and the
-    fired events form a run; raises PolicyError otherwise.
+    Fires the first enabled event its choices allow: one in no group, or one
+    that every group holding it chose. Stops when no such event is left and
+    the fired events form a run; raises PolicyError otherwise.
     """
 
     choices: tuple[tuple[str, str], ...]
@@ -306,15 +306,15 @@ def _chooser(policy: BranchPolicy, chronology: Chronology) -> Callable[[list[str
         rng = random.Random(policy.seed)
         return lambda enabled, done: rng.choice(enabled + [None] if done else enabled)
     chosen = dict(policy.choices)
-    group_of = {m: g.name for g in chronology.groups for m in g.members}  # the last declared group holding each
+    groups_of = {e: [g.name for g in chronology.groups if e in g.members] for e in chronology.events}
 
     def choose(enabled: list[str], done: bool) -> Optional[str]:
-        choosable = [e for e in enabled if (g := group_of.get(e)) is None or chosen.get(g) == e]
+        choosable = [e for e in enabled if all(chosen.get(g) == e for g in groups_of[e])]
         if choosable:
             return choosable[0]
         if done:
             return None
-        uncovered = sorted({group_of[e] for e in enabled if group_of[e] not in chosen})
+        uncovered = sorted({g for e in enabled for g in groups_of[e] if g not in chosen})
         if uncovered:
             raise PolicyError(f"no scripted choice for exclusive group(s): {', '.join(uncovered)}")
         raise PolicyError("the scripted choices rule out every enabled event")

@@ -10,7 +10,7 @@ from tmkit import diagnostics as dg
 from tmkit.behavior import Chronology, canonical_order, run_set_valid
 from tmkit.errors import BoundExceeded, IllegalAction
 from tmkit.model import IsoResult, StageKind, StageRef, StaticModel, Thimac
-from tmkit.simulate import MEMBER_STAGES, RETIRED, ThingInstance
+from tmkit.simulate import MEMBER_STAGES, RETIRED, ThingInstance, enabled_events, fire_event, initial_state
 
 # Exact enumeration is exponential in the event count; chronologies are
 # desk-scale by design.
@@ -97,6 +97,27 @@ def enabled_events_by_runs(state, runs: list[frozenset[str]]) -> list[str]:
         if any(done <= r and not any(v in done and u in r - done for u, v in chron.edges) for r in runs):
             out.append(e)
     return out
+
+
+def runs_reached_by_moves(model, subdiagrams, events, chronology) -> tuple[set[frozenset[str]], set[frozenset[str]]]:
+    """Walk every sequence of simulator moves over a chronology without
+    windows: the fired sets that form a run, and the fired sets that do not
+    and have no move left. The fired and ruled-out events decide a state's
+    moves, so each such state is expanded once."""
+    reached, stuck, seen = set(), set(), set()
+    stack = [initial_state(model, subdiagrams, events, chronology)]
+    while stack:
+        state = stack.pop()
+        if (state.fired, state.out) in seen:
+            continue
+        seen.add((state.fired, state.out))
+        enabled = enabled_events(state)
+        if run_set_valid(chronology, state.fired):
+            reached.add(state.fired)
+        elif not enabled:
+            stuck.add(state.fired)
+        stack.extend(fire_event(state, e) for e in enabled)
+    return reached, stuck
 
 
 def _at(things: dict[str, ThingInstance], ref: StageRef) -> list[ThingInstance]:

@@ -131,6 +131,25 @@ def test_simulate_scripted(capsys):
     assert out.startswith("trace sim_scripted = [ E2 @ 0, E6 @ 1, E7 @ 2, E8 @ 3, E10 @ 4")
 
 
+_TWO_GROUPS = (
+    'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
+    "event E = s\nevent F = s\nevent G = s\nchronology c { exclusive g1 { E | F }; exclusive g2 { E | G }; }\n"
+)
+# E is in both groups, so a script fires it only if both chose it
+TWO_GROUP_SCRIPTS = {
+    "g1 chose F": (["g1=F", "g2=E"], 0, "trace sim_scripted = [ F @ 0 ]\n", ""),
+    "g1 chose nothing": (["g2=E"], 1, "", "tmkit: no scripted choice for exclusive group(s): g1\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TWO_GROUP_SCRIPTS))
+def test_a_script_fires_an_event_only_if_every_group_holding_it_chose_it(tmp_path, capsys, case):
+    choices, status, out, err = TWO_GROUP_SCRIPTS[case]
+    path = tmp_path / "two_groups.tm"
+    path.write_text(_TWO_GROUPS)
+    assert run_cli(capsys, "simulate", str(path), *(f"--choose={c}" for c in choices)) == (status, out, err)
+
+
 def test_desugar_output_is_valid_full_notation(capsys):
     status, out, err = run_cli(capsys, "desugar", fixture_path("green_cheese.tm"))
     assert status == 0
