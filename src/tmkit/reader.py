@@ -1,14 +1,13 @@
 """A fast reader for ``.tm`` documents: one regular expression match per
-declaration. It reads a text iff the token parser reports no error in it, and
+declaration. It reads a text iff the token parser reports no error in it and no
+character beyond ASCII stands outside its strings and comments, and
 ``syntax.parse`` gives every text it declines to the token parser, the only
-source of diagnostics: a fast first pass and a precise second one, as CPython's
-PEG parser reports syntax errors (PEP 617).
+source of diagnostics and of identifiers and numerals beyond ASCII: a fast first
+pass and a precise second one, as CPython's PEG parser reports syntax errors (PEP 617).
 """
 from __future__ import annotations
 
 import re
-from collections import namedtuple
-from functools import cache
 from types import MappingProxyType
 from typing import Optional
 
@@ -24,6 +23,7 @@ _FLOW, _TRIGGER = ArcKind.FLOW, ArcKind.TRIGGER
 # its line, and keywords and identifiers end at a word boundary, so no part gives back characters to
 # the rest of a pattern (Python 3.10 has no atomic groups). An integer needs no boundary: the token
 # parser reads '5event' as 5 and a word. A string's backslash escapes any character, a newline too.
+# Compiled under re.ASCII, no part but a string or a comment matches a character beyond ASCII.
 _PARTS = {
     "ID": r"[^\W\d]\w*\b",
     "INT": r"\d+",
@@ -33,40 +33,32 @@ _PARTS = {
 }
 
 
-def _rx(pattern: str, flags: int) -> re.Pattern[str]:
+def _rx(pattern: str) -> re.Pattern[str]:
     pattern = pattern.replace(" ", syntax._SKIP)
     for name, part in _PARTS.items():
         pattern = pattern.replace(name, part)
-    return re.compile(pattern, flags)
+    return re.compile(pattern, re.ASCII)
 
 
-# The grammar: one pattern per declaration and per item of a block, by name, as texts that _grammar compiles.
-_GRAMMAR = {
-    "model": r" model\b (ID)(?: (simplified)\b)? \{",
-    # a block's last group is its closing brace; in this one lastindex 1 is stages, 2 things, 4 a thimac, 10 an arc
-    "body": r" (?:stages\b : (WORD(?: , WORD)*) ;|things\b : (STR(?: , STR)*) ;|thimac\b (ID) (STR) \{"
-    r"|(flow|trigger)\b (ID) : (ID) \. (KIND) -> (ID) \. (KIND) ;|(\}))",
-    "subdiagram": r" subdiagram\b (ID) (STR) \{",
-    "subdiagram_item": r" (?:stages\b : (ID \. KIND(?: , ID \. KIND)*) ;|arcs\b : (ID(?: , ID)*) ;|(\}))",
-    "event": r" event\b (ID) = (ID)(?: window\b (INT) \.\. (INT))?",
-    "chronology": r" chronology\b (ID) \{",
-    # lastindex 1 a chain of edges, 2 events, 4 exclusive (3 its name), 5 start, 6 end
-    "chronology_item": r" (?:(ID(?: -> ID)+) ;|events\b : (ID(?: , ID)*) ;|exclusive\b(?: (ID))? \{ (ID(?: \| ID)*) \} ;"
-    r"|start\b : (ID(?: , ID)*) ;|end\b : (ID(?: , ID)*) ;|(\}))",
-    "trace": r" trace\b (ID) = \[(?: (ID @ INT(?: , ID @ INT)*))? \]",
-    "end": r" \Z",
-    # strings (group 1) and comments, and the first character of a word that is neither an ASCII letter, '_' nor a digit
-    "literals": r"(STR)|#[^\n]*",
-    "firsts": r"(?<!\w)[^\W\d_A-Za-z]",
-}
-_Grammar = namedtuple("_Grammar", _GRAMMAR)
-
-
-@cache  # so each set is compiled the first time a text needs it, and importing the module compiles none
-def _grammar(ascii: bool) -> _Grammar:
-    """The grammar compiled for a text that is all ASCII, or for any text. On ASCII characters ``\\w``, ``\\d``
-    and ``\\b`` match the same under either flag, and ASCII-compiled patterns test them faster."""
-    return _Grammar(*(_rx(pattern, re.ASCII if ascii else 0) for pattern in _GRAMMAR.values()))
+_MODEL = _rx(r" model\b (ID)(?: (simplified)\b)? \{")
+# a block's last group is its closing brace; in this one lastindex 1 is stages, 2 things, 4 a thimac, 10 an arc
+_BODY = _rx(
+    r" (?:stages\b : (WORD(?: , WORD)*) ;|things\b : (STR(?: , STR)*) ;|thimac\b (ID) (STR) \{"
+    r"|(flow|trigger)\b (ID) : (ID) \. (KIND) -> (ID) \. (KIND) ;|(\}))"
+)
+_SUBDIAGRAM = _rx(r" subdiagram\b (ID) (STR) \{")
+_SUBDIAGRAM_ITEM = _rx(r" (?:stages\b : (ID \. KIND(?: , ID \. KIND)*) ;|arcs\b : (ID(?: , ID)*) ;|(\}))")
+_EVENT = _rx(r" event\b (ID) = (ID)(?: window\b (INT) \.\. (INT))?")
+_CHRONOLOGY = _rx(r" chronology\b (ID) \{")
+# lastindex 1 a chain of edges, 2 events, 4 exclusive (3 its name), 5 start, 6 end
+_CHRONOLOGY_ITEM = _rx(
+    r" (?:(ID(?: -> ID)+) ;|events\b : (ID(?: , ID)*) ;|exclusive\b(?: (ID))? \{ (ID(?: \| ID)*) \} ;"
+    r"|start\b : (ID(?: , ID)*) ;|end\b : (ID(?: , ID)*) ;|(\}))"
+)
+_TRACE = _rx(r" trace\b (ID) = \[(?: (ID @ INT(?: , ID @ INT)*))? \]")
+_END = _rx(r" \Z")
+# strings (group 1) and comments
+_LITERALS = _rx(r"(STR)|#[^\n]*")
 
 
 class _Declined(Exception):
@@ -85,11 +77,11 @@ def _unique(ids: list[str]) -> None:
         raise _Declined
 
 
-def _words(g: _Grammar, items: str, *separators: str) -> list[str]:
+def _words(items: str, *separators: str) -> list[str]:
     """The words of a list that a pattern has matched, in order: ids, stage words and integers are word
     characters, and once its comments and ``separators`` are blanks only blanks stand between them."""
     if "#" in items:
-        items = g.literals.sub(" ", items)
+        items = _LITERALS.sub(" ", items)
     for separator in separators:
         if separator in items:
             items = items.replace(separator, " ")
@@ -108,27 +100,21 @@ def read(src: syntax.SourceFile) -> Optional[syntax.Document]:
 
 def _document(text: str) -> syntax.Document:
     # build_model and the sections' records wait until the whole text has matched: most declined texts stop matching
-    ascii = text.isascii()
-    g = _grammar(ascii)
     first: dict[str, int] = {}  # source offset of each id's first declaration
-    header, roots, arcs, pos = _model(g, text, first)
-    subdiagrams, pos = _sections(g.subdiagram, g.subdiagram_item, text, pos)
-    events, pos = _sections(g.event, None, text, pos)
-    chronologies, pos = _sections(g.chronology, g.chronology_item, text, pos)
-    traces, pos = _sections(g.trace, None, text, pos)
-    _next(g.end, text, pos)
-    # \w admits numerals such as '²' that no word may start with, where the token parser takes an identifier's
-    # first character by str.isalpha
-    if not ascii and not all(c.isalpha() for c in g.firsts.findall(g.literals.sub(" ", text))):
-        raise _Declined
+    header, roots, arcs, pos = _model(text, first)
+    subdiagrams, pos = _sections(_SUBDIAGRAM, _SUBDIAGRAM_ITEM, text, pos)
+    events, pos = _sections(_EVENT, None, text, pos)
+    chronologies, pos = _sections(_CHRONOLOGY, _CHRONOLOGY_ITEM, text, pos)
+    traces, pos = _sections(_TRACE, None, text, pos)
+    _next(_END, text, pos)
     for m, _ in (*subdiagrams, *events, *chronologies, *traces):
         first.setdefault(m[1], m.start(1))
     sections = (
-        tuple(_subdiagram(g, m, items) for m, items in subdiagrams),
+        tuple(_subdiagram(m, items) for m, items in subdiagrams),
         tuple(Event(m[1], m[2], None if m[3] is None else (int(m[3]), int(m[4]))) for m, _ in events),
-        tuple(_chronology(g, m, items) for m, items in chronologies),
+        tuple(_chronology(m, items) for m, items in chronologies),
         tuple(Trace(m[1], tuple(zip(w[::2], map(int, w[1::2])))) for m, _ in traces
-              for w in [_words(g, m[2] or "", "@", ",")]),  # an occurrence is two words
+              for w in [_words(m[2] or "", "@", ",")]),  # an occurrence is two words
     )
     if any(check_trace_shape(trace) is not None for trace in sections[3]):
         raise _Declined
@@ -149,15 +135,15 @@ def _sections(rx: re.Pattern[str], items: Optional[re.Pattern[str]], text: str, 
     return found, pos
 
 
-def _subdiagram(g: _Grammar, m: re.Match[str], items: list[re.Match[str]]) -> Subdiagram:
-    refs = [w for i in items if i[1] for w in _words(g, i[1], ".", ",")]  # a stage reference is two words
+def _subdiagram(m: re.Match[str], items: list[re.Match[str]]) -> Subdiagram:
+    refs = [w for i in items if i[1] for w in _words(i[1], ".", ",")]  # a stage reference is two words
     stages = tuple(StageRef(t, _STAGE_WORDS[k]) for t, k in zip(refs[::2], refs[1::2]))
-    arcs = tuple(a for i in items if i[2] for a in _words(g, i[2], ","))
+    arcs = tuple(a for i in items if i[2] for a in _words(i[2], ","))
     return Subdiagram(m[1], syntax.unescape(m[2][1:-1]), stages, arcs)
 
 
-def _chronology(g: _Grammar, m: re.Match[str], items: list[re.Match[str]]) -> Chronology:
-    lists = [(i.lastindex, _words(g, i[i.lastindex], "->", ",", "|")) for i in items]
+def _chronology(m: re.Match[str], items: list[re.Match[str]]) -> Chronology:
+    lists = [(i.lastindex, _words(i[i.lastindex], "->", ",", "|")) for i in items]
     edges = [edge for kind, ids in lists if kind == 1 for edge in zip(ids, ids[1:])]
     explicit = [e for kind, ids in lists if kind == 2 for e in ids]
     groups = [(i[3], frozenset(ids)) for i, (kind, ids) in zip(items, lists) if kind == 4]
@@ -166,10 +152,10 @@ def _chronology(g: _Grammar, m: re.Match[str], items: list[re.Match[str]]) -> Ch
     return syntax.chronology_decl(m[1], explicit, edges, groups, last.get(5), last.get(6))
 
 
-def _model(g: _Grammar, text: str, first: dict[str, int]) -> tuple[re.Match[str], list[Thimac], list[Arc], int]:
+def _model(text: str, first: dict[str, int]) -> tuple[re.Match[str], list[Thimac], list[Arc], int]:
     """The model section's header at the start of ``text``, its root thimacs and arcs, and the offset after it;
     ``first`` gains the offset of each thimac and arc id."""
-    body, m = g.body, _next(g.model, text, 0)
+    body, m = _BODY, _next(_MODEL, text, 0)
     roots, arcs = [], []
     # the thimacs being read, outermost first: id, label, stage words, children, things
     inside: list[tuple[str, str, list[str], list[Thimac], list[str]]] = []
@@ -183,10 +169,10 @@ def _model(g: _Grammar, text: str, first: dict[str, int]) -> tuple[re.Match[str]
             src, dst = StageRef(item[7], _STAGE_WORDS[item[8]]), StageRef(item[9], _STAGE_WORDS[item[10]])
             arcs.append(Arc(item[6], _FLOW if item[5] == "flow" else _TRIGGER, src, dst))
         elif kind == 1 and inside:
-            inside[-1][2].extend(_words(g, item[1], ","))
+            inside[-1][2].extend(_words(item[1], ","))
             _unique(inside[-1][2])
         elif kind == 2 and inside:
-            inside[-1][4].extend([syntax.unescape(s[1:-1]) for s in g.literals.findall(item[2]) if s])
+            inside[-1][4].extend([syntax.unescape(s[1:-1]) for s in _LITERALS.findall(item[2]) if s])
         elif kind == body.groups:
             decl = syntax.thimac_decl(*inside.pop())
             (inside[-1][3] if inside else roots).append(decl)

@@ -71,7 +71,9 @@ class Scripted(BranchPolicy):
 
     Fires the first enabled event its choices allow: one in no group, or one
     that every group holding it chose. Stops when no such event is left and
-    the fired events form a run; raises PolicyError otherwise.
+    the fired events form a run; raises PolicyError otherwise, and before the
+    first firing where a choice names a group the chronology lacks, a group
+    chosen before, or an event that is not a member of its group.
     """
 
     choices: tuple[tuple[str, str], ...]
@@ -305,7 +307,18 @@ def _chooser(policy: BranchPolicy, chronology: Chronology) -> Callable[[list[str
     if isinstance(policy, Seeded):
         rng = random.Random(policy.seed)
         return lambda enabled, done: rng.choice(enabled + [None] if done else enabled)
-    chosen = dict(policy.choices)
+    if not isinstance(policy, Scripted):
+        raise PolicyError(f"simulate follows a Seeded or a Scripted policy, not {type(policy).__name__}")
+    members = {g.name: g.members for g in chronology.groups}
+    chosen: dict[str, str] = {}
+    for g, e in policy.choices:
+        if g not in members:
+            raise PolicyError(f"chronology '{chronology.id}' has no exclusive group '{g}'")
+        if g in chosen:
+            raise PolicyError(f"exclusive group '{g}' is chosen twice")
+        if e not in members[g]:
+            raise PolicyError(f"event '{e}' is not a member of exclusive group '{g}'")
+        chosen[g] = e
     groups_of = {e: [g.name for g in chronology.groups if e in g.members] for e in chronology.events}
 
     def choose(enabled: list[str], done: bool) -> Optional[str]:

@@ -319,10 +319,10 @@ PICKS = {
     "an unknown --trace": (["evaluate", "--chronology", "d", "--trace", "u"], 2, "tmkit: no trace 'u' (have: t)\n"),
     "a --choose without '='": (["simulate", "--chronology", "c", "--choose", "g"], 2, "tmkit: --choose takes group=event, got 'g'\n"),
     "render --highlight of an unknown id": (["render", "--highlight", "ghost"], 2, "tmkit: cannot highlight unknown id(s): ghost\n"),
-    "choices that rule out every enabled event": (
+    "a --choose of an event outside its group": (
         ["simulate", "--chronology", "c", "--choose", "g=C"],
         1,
-        "tmkit: the scripted choices rule out every enabled event\n",
+        "tmkit: event 'C' is not a member of exclusive group 'g'\n",
     ),
 }
 
@@ -333,6 +333,32 @@ def test_arguments_the_document_cannot_take_exit_with_one_line(tmp_path, capsys,
     path = tmp_path / "two.tm"
     path.write_text(_TWO_CHRONOLOGIES)
     assert run_cli(capsys, command, str(path), *rest) == (status, "", err)
+
+
+# --choose arguments that the airport chronology cannot take, with the one line each prints
+AIRPORT_CHOICES = {
+    "a group the chronology lacks": (["start=E2", "branch=E10", "nosuch=E1"], "chronology 'B' has no exclusive group 'nosuch'"),
+    "a group chosen twice": (["start=E2", "start=E1", "branch=E10"], "exclusive group 'start' is chosen twice"),
+    "an event outside its group": (["branch=E99"], "event 'E99' is not a member of exclusive group 'branch'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AIRPORT_CHOICES))
+def test_choices_the_chronology_cannot_take_exit_with_one_line(capsys, case):
+    choices, err = AIRPORT_CHOICES[case]
+    argv = [arg for choice in choices for arg in ("--choose", choice)]
+    assert run_cli(capsys, "simulate", fixture_path("airport.tm"), *argv) == (1, "", f"tmkit: {err}\n")
+
+
+def test_choices_that_rule_out_every_enabled_event_exit_with_one_line(tmp_path, capsys):
+    # g=C lets A fire, then rules out B, the only move left
+    path = tmp_path / "ruled_out.tm"
+    path.write_text(
+        'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
+        "event A = s\nevent B = s\nevent C = s\nchronology c { A -> B; exclusive g { B | C }; }\n"
+    )
+    err = "tmkit: the scripted choices rule out every enabled event\n"
+    assert run_cli(capsys, "simulate", str(path), "--choose", "g=C") == (1, "", err)
 
 
 @pytest.mark.parametrize("command", ["runs", "simulate"])

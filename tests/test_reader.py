@@ -1,6 +1,7 @@
 """The reader against the token parser: the reader reads a text iff the token
-parser reports no error in it, and then reads the token parser's document with
-the same spans, so a clean document never reaches the token parser."""
+parser reports no error in it and no character beyond ASCII stands outside its
+strings and comments, and then reads the token parser's document with the same
+spans, so a clean ASCII document never reaches the token parser."""
 import random
 import re
 import sys
@@ -21,26 +22,32 @@ from strategies import spliced_fixtures
 sys.path.insert(0, str(Path(__file__).parent.parent / "benchmarks"))
 import gen  # noqa: E402  (the benchmark's document generators)
 
+# a string, to its closing quote or the end of its line, or a comment
+_LITERAL = re.compile(r'"(?:[^"\\\n]|\\[\s\S])*"?|#[^\n]*')
+
+
+def beyond_ascii(text: str) -> bool:
+    """Whether a character beyond ASCII stands outside the strings and comments of ``text``."""
+    return not _LITERAL.sub("", text).isascii()
+
 
 def agree(text: str) -> bool:
-    """Whether the reader reads ``text``: when it does, the token parser reads the
-    same document, with the same spans, and reports nothing; when it declines, the
-    token parser reports an error."""
+    """Whether the reader reads ``text``, which it does iff the token parser reports
+    nothing and no character beyond ASCII stands outside a string or comment; when
+    it does, the token parser reads the same document, with the same spans."""
     src = SourceFile("f.tm", text)
     doc = reader.read(src)
     p = _Parser(src)
     want = p.document()
-    if doc is None:
-        assert p.diags, text
-    else:
-        assert not p.diags, (text, p.diags)
+    assert (doc is not None) == (not p.diags and not beyond_ascii(text)), (text, p.diags)
+    if doc is not None:
         assert doc == want, text
         assert dict(doc.spans) == dict(want.spans), text
     return doc is not None
 
 
 _HEAD = 'model m {\n  thimac a "A" { stages: create, process; things: "x"; }\n  flow f: a.create -> a.process;\n}\n'
-# valid documents in forms a regular expression reader can miss, the first two and the last two as CI writes them
+# valid documents in forms a regular expression reader can miss, the first two and the last as CI writes them
 FORMS = {
     "an escaped quote": 'model m { thimac a "A\\"B" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
     "event A = s\nchronology c { events: A; }\n",
@@ -49,8 +56,6 @@ FORMS = {
     "chronology c { events: A; }\n",
     "blanks around a dot": 'model m {\n  thimac a "A" { stages: create, process; things: "x"; }\n  flow f: a . create -> a\n.process;\n}\n'
     'subdiagram s "S" { stages: a. create, a # c\n .process; arcs: f; }\nevent A = s\nchronology c { events: A; }\n',
-    "identifiers that start beyond ASCII": 'model m { thimac é "É" { stages: create; things: "x"; } }\n'
-    'subdiagram σ "S" { stages: é.create; }\nevent Ä = σ\nevent 一 = σ\nchronology c { events: Ä, 一; }\n',
     "an escaped newline": 'model m {\n  thimac a "A\\\nB" { stages: create; }\n  thimac b "B\\\\" { }\n}\n'
     'subdiagram s "S\\t" { stages: a.create; }\nevent A = s\n',
     "an integer against a word": _HEAD + 'subdiagram s "S" { stages: a.create; }\nevent A = s window 0..5event B = s\n',
@@ -58,13 +63,20 @@ FORMS = {
     "event A = s window 0 # f\n .. # g\n 5\nevent B = s\n"
     "chronology c { A # h\n -> # i\n B; exclusive # j\n g { A # k\n | B }; start: A # l\n; end: # m\n B; }\n"
     "trace t = [ A # n\n @ # o\n 0 , # p\n B @ 1 ]\n",
-    # a text beyond ASCII is read by the patterns compiled for any text, whose \d takes these numerals as int() does
-    "numerals beyond ASCII": 'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
-    "event A = s window ٠..٥\nevent B = s\nchronology c { A -> B; }\ntrace t = [ A @ ٣, B @ ٤ ]\n",
     "a label beyond ASCII in a model with ASCII identifiers": 'model m {\n  thimac a "Ärger ✈" { stages: create, process; '
     'things: "göods", "x"; }\n  flow f: a.create -> a.process;\n}\nsubdiagram s "Σ — über" { stages: a.create, a.process; '
     'arcs: f; }\nevent A = s\nchronology c { events: A; }\n',
 }
+
+# valid documents that only the token parser reads, as CI writes them: it takes an identifier's first character
+# by str.isalpha and a numeral by str.isdecimal, as int() does
+BEYOND_ASCII = {
+    "identifiers that start beyond ASCII": 'model m { thimac é "É" { stages: create; things: "x"; } }\n'
+    'subdiagram σ "S" { stages: é.create; }\nevent Ä = σ\nevent 一 = σ\nchronology c { events: Ä, 一; }\n',
+    "numerals beyond ASCII": 'model m { thimac a "A" { stages: create; things: "x"; } }\nsubdiagram s "S" { stages: a.create; }\n'
+    "event A = s window ٠..٥\nevent B = s\nchronology c { A -> B; }\ntrace t = [ A @ ٣, B @ ٤ ]\n",
+}
+_FIXTURE_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
 
 
 def generated(rng: random.Random) -> list[str]:
@@ -74,10 +86,37 @@ def generated(rng: random.Random) -> list[str]:
 
 
 def test_the_reader_reads_every_fixture_as_the_token_parser_does():
-    for path in sorted(FIXTURES.glob("*.tm")):
-        assert agree(path.read_text(encoding="utf-8")), path.name
+    for path, text in zip(sorted(FIXTURES.glob("*.tm")), _FIXTURE_TEXTS):
+        assert agree(text), path.name
     for form, text in FORMS.items():
         assert agree(text), form
+
+
+def test_identifiers_and_numerals_beyond_ascii_are_the_token_parsers_alone():
+    for form, text in BEYOND_ASCII.items():
+        src = SourceFile("f.tm", text)
+        assert reader.read(src) is None, form
+        res, want = parse(src), _Parser(src).document()
+        assert res.document == want and res.diagnostics == [], form
+        assert dict(res.document.spans) == dict(want.spans), form
+        assert declaration_spans(src, res.document) == first_declarations(text), form
+
+
+# characters beyond ASCII: letters, a numeral str.isdecimal takes and one it does not, a combining accent, a no-break space
+INSERTED = ("é", "一", "٣", "²", "\u0301", "\u00a0")
+
+
+def test_the_reader_agrees_on_characters_beyond_ascii_inserted_anywhere():
+    rng = random.Random(30)
+    bases = _FIXTURE_TEXTS + list(FORMS.values()) + list(BEYOND_ASCII.values())
+    outcomes = {"read": 0, "only the token parser reads": 0, "an error": 0}
+    for i in range(2_000):
+        base = bases[i % len(bases)]
+        at = rng.randrange(len(base) + 1)
+        text = base[:at] + rng.choice(INSERTED) + base[at:]
+        read = agree(text)
+        outcomes["read" if read else "an error" if parse_text(text).diagnostics else "only the token parser reads"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def test_the_reader_reads_random_documents_as_the_token_parser_does():
@@ -96,7 +135,7 @@ def test_the_reader_reads_the_benchmark_shapes_as_the_token_parser_does():
 
 def test_the_reader_declines_or_agrees_on_mutated_documents():
     rng = random.Random(1500)
-    fixtures = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))] + list(FORMS.values())
+    fixtures = _FIXTURE_TEXTS + list(FORMS.values()) + list(BEYOND_ASCII.values())
     read = 0
     for i in range(1500):
         base = rng.choice(fixtures) if i % 3 == 0 else rng.choice(generated(rng)) if i % 3 == 1 else print_document(random_document(rng))
@@ -137,7 +176,7 @@ def test_a_clean_document_never_reaches_the_token_parser(monkeypatch):
     def refuse(src):
         raise AssertionError(f"the token parser ran on {src.path}")
 
-    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tm"))]
+    texts = list(_FIXTURE_TEXTS)
     rng = random.Random(7)
     for n in (50, 200):
         chain = gen.chain(rng, n)

@@ -13,6 +13,7 @@ from tmkit.events import Event, Subdiagram
 from tmkit.model import Arc, ArcKind, StageKind, StageRef, Thimac, build_model
 from tmkit.simulate import (
     RETIRED,
+    BranchPolicy,
     Scripted,
     Seeded,
     _moves,
@@ -210,6 +211,11 @@ def test_scripted_non_schengen_route(airport, airport_chronology):
 def test_scripted_needs_every_reachable_group(airport, airport_chronology):
     with pytest.raises(PolicyError):
         simulate(airport.model, airport.subdiagrams, airport.events, airport_chronology, Scripted((("branch", "E9"),)))
+
+
+def test_a_policy_other_than_seeded_or_scripted_is_a_policy_error(airport, airport_chronology):
+    with pytest.raises(PolicyError, match="not BranchPolicy"):
+        simulate(airport.model, airport.subdiagrams, airport.events, airport_chronology, BranchPolicy())
 
 
 def test_single_event_model_simulates_to_one_step():
