@@ -29,7 +29,7 @@ from .model import (
     build_model,
     models_isomorphic,
 )
-from .simulate import BranchPolicy, Scripted, Seeded, simulate
+from .simulate import Scripted, Seeded, simulate
 from .syntax import Document, ParseResult, SourceFile, parse, parse_text, print_document
 from .validate import desugar, validate_static
 
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Arc",
     "ArcKind",
-    "BranchPolicy",
     "Chronology",
     "CoverageReport",
     "Diagnostic",

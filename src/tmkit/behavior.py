@@ -10,10 +10,10 @@ evaluation can never regress or change its answer.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain, compress
-from typing import AbstractSet, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar, Union
+from typing import AbstractSet, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import BoundExceeded, CycleDetected, EdgeInsideExclusiveGroup, MalformedTrace, UnknownEvent
 from .events import Event
@@ -166,49 +166,19 @@ def check_trace_shape(trace: Trace) -> Optional[str]:
 # --- Verdicts ---------------------------------------------------------------
 
 
-class _Reason:
-    """A verdict's reason prints as its name and its fields: ``Name(a,b)``, or ``Name`` alone."""
+class Violation(NamedTuple):
+    """The run rule a trace breaks, and what breaks it; prints as ``Kind(a,b)``, or ``Kind`` alone.
+
+    ``kind`` is NotStarted (the trace is empty, or a causal thread in it begins at no start; no
+    subjects), OrderViolation (the edge the trace reversed: before, after), ExclusivityViolation
+    (the group), or MissingSuccessor, UnknownEvent or WindowViolation (the event).
+    """
+
+    kind: str
+    subjects: tuple = ()
 
     def __str__(self) -> str:
-        name = type(self).__name__.removesuffix("Occurred")  # UnknownEventOccurred prints as UnknownEvent
-        values = [str(getattr(self, f.name)) for f in fields(self)]
-        return f"{name}({','.join(values)})" if values else name
-
-
-@dataclass(frozen=True)
-class NotStarted(_Reason):
-    """The trace is empty, or a causal thread in it begins at no start."""
-
-
-@dataclass(frozen=True)
-class OrderViolation(_Reason):
-    before: str  # the edge the trace reversed: before must precede after
-    after: str
-
-
-@dataclass(frozen=True)
-class ExclusivityViolation(_Reason):
-    group: ExclusiveGroup
-
-
-@dataclass(frozen=True)
-class MissingSuccessor(_Reason):
-    event: str
-
-
-@dataclass(frozen=True)
-class UnknownEventOccurred(_Reason):
-    event: str
-
-
-@dataclass(frozen=True)
-class WindowViolation(_Reason):
-    event: str
-
-
-Violation = Union[
-    NotStarted, OrderViolation, ExclusivityViolation, MissingSuccessor, UnknownEventOccurred, WindowViolation
-]
+        return f"{self.kind}({','.join(map(str, self.subjects))})" if self.subjects else self.kind
 
 
 class Verdict(NamedTuple):
@@ -335,13 +305,13 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
     stamp: dict[str, int] = {}
     for e, ts in trace.occurrences:
         if e not in chronology.events:
-            return Verdict(False, violation=UnknownEventOccurred(e))
+            return Verdict(False, violation=Violation("UnknownEvent", (e,)))
         stamp[e] = ts
 
     for v, _ in trace.occurrences:
         for u in sorted(chronology.predecessors(v)):
             if u in stamp and stamp[u] >= stamp[v]:
-                return Verdict(False, violation=OrderViolation(u, v))
+                return Verdict(False, violation=Violation("OrderViolation", (u, v)))
 
     violation = _run_violation(chronology, set(stamp), stamp)
     if violation is not None:
@@ -350,7 +320,7 @@ def evaluate_trace(chronology: Chronology, trace: Trace) -> Verdict:
     for e, ts in trace.occurrences:
         w = chronology.window_of(e)
         if w is not None and not (w[0] <= ts <= w[1]):
-            return Verdict(False, violation=WindowViolation(e))
+            return Verdict(False, violation=Violation("WindowViolation", (e,)))
 
     return Verdict(True, run=trace.events())
 
@@ -369,16 +339,16 @@ def _run_violation(chronology: Chronology, occurred: AbstractSet[str], order: It
     """
     for g in chronology.groups:
         if len(g.members & occurred) > 1:
-            return ExclusivityViolation(g)
+            return Violation("ExclusivityViolation", (g,))
     if not occurred & chronology.starts:
-        return NotStarted()
+        return Violation("NotStarted")
     for e in order:
         if e not in chronology.starts and not (chronology.predecessors(e) & occurred):
             # a causal thread that begins mid-chronology never started
-            return NotStarted()
+            return Violation("NotStarted")
     for e in order:
         if e not in chronology.ends and not (chronology.successors(e) & occurred):
-            return MissingSuccessor(e)
+            return Violation("MissingSuccessor", (e,))
     return None
 
 

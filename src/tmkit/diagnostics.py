@@ -6,7 +6,6 @@ instead of raising, so callers can collect, sort and print them uniformly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -47,8 +46,7 @@ EVENT_SHARED = "W-EVENT-SHARED"
 CHRONOLOGY = "E-CHRONOLOGY"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One reported problem.
 
     ``elements`` carries the ids of the offending model elements; validator
@@ -59,7 +57,7 @@ class Diagnostic:
     severity: Severity
     message: str
     elements: tuple[str, ...] = ()
-    span: Span = field(default=Span(), compare=False)
+    span: Span = Span()
 
     def __str__(self) -> str:
         where = f"{self.span}: " if self.span.line else ""

@@ -58,10 +58,10 @@ def to_dot(doc: Document, options: RenderOptions = RenderOptions()) -> str:
 def _membership(doc: Document) -> tuple[dict[StageRef, list[str]], dict[str, list[str]]]:
     by_stage: dict[StageRef, list[str]] = {}
     by_arc: dict[str, list[str]] = {}
-    for s in doc.subdiagrams:
-        for ref in s.stages:
+    for s in doc.subdiagrams:  # a stage or arc listed twice is one membership
+        for ref in dict.fromkeys(s.stages):
             by_stage.setdefault(ref, []).append(s.id)
-        for a in s.arcs:
+        for a in dict.fromkeys(s.arcs):
             by_arc.setdefault(a, []).append(s.id)
     return by_stage, by_arc
 

@@ -38,14 +38,14 @@ def check_subdiagram(model: StaticModel, sub: Subdiagram) -> list[dg.Diagnostic]
 
     Closure is required of flow arcs only: a trigger may reach across the
     subdiagram boundary, so its endpoints are checked for existence but not
-    for membership.
+    for membership. A stage or arc listed twice is checked once.
     """
     diags: list[dg.Diagnostic] = []
-    stage_set = set(sub.stages)
-    for ref in sub.stages:
+    stage_set = dict.fromkeys(sub.stages)
+    for ref in stage_set:
         if ref not in model.stages:
             diags.append(dg.error(dg.SUB_UNRESOLVED, f"stage {ref} is not in the model", (sub.id, str(ref))))
-    for arc_id in sub.arcs:
+    for arc_id in dict.fromkeys(sub.arcs):
         arc = model.arc(arc_id)
         if arc is None:
             diags.append(dg.error(dg.SUB_UNRESOLVED, f"arc '{arc_id}' is not in the model", (sub.id, arc_id)))

@@ -53,20 +53,14 @@ class ThingInstance(NamedTuple):
     tags: tuple[str, ...] = ()
 
 
-class BranchPolicy:
-    pass
-
-
-@dataclass(frozen=True)
-class Seeded(BranchPolicy):
+class Seeded(NamedTuple):
     """Draws uniformly from the enabled events, plus "stop" when the fired
     events form a run."""
 
     seed: int
 
 
-@dataclass(frozen=True)
-class Scripted(BranchPolicy):
+class Scripted(NamedTuple):
     """Maps exclusive-group names to the member that should fire.
 
     Fires the first enabled event its choices allow: one in no group, or one
@@ -300,7 +294,7 @@ def fire_event(state: SimState, event_id: str) -> SimState:
 # Whole-run simulation
 
 
-def _chooser(policy: BranchPolicy, chronology: Chronology) -> Callable[[list[str], bool], Optional[str]]:
+def _chooser(policy: Union[Seeded, Scripted], chronology: Chronology) -> Callable[[list[str], bool], Optional[str]]:
     """The policy's choice, built once: ``choose(enabled, done)`` is the event
     it fires next, or None when it stops; ``done`` says whether the fired
     events form a run, which stopping needs."""
@@ -352,7 +346,7 @@ def simulate(
     subdiagrams: Sequence[Subdiagram],
     events: Sequence[Event],
     chronology: Chronology,
-    policy: BranchPolicy,
+    policy: Union[Seeded, Scripted],
     trace_id: str = "sim",
 ) -> Trace:
     """Run one complete scenario and return its trace.

@@ -10,14 +10,9 @@ import tmkit.behavior as behavior
 from tmkit.behavior import (
     Chronology,
     ExclusiveGroup,
-    ExclusivityViolation,
-    MissingSuccessor,
-    NotStarted,
-    OrderViolation,
     Trace,
-    UnknownEventOccurred,
     Verdict,
-    WindowViolation,
+    Violation,
     build_chronology,
     canonical_order,
     enumerate_runs,
@@ -201,42 +196,42 @@ def test_schengen_with_luggage_trace_is_true(airport, airport_chronology):
 def test_both_branches_violate_exclusivity(airport, airport_chronology):
     v = evaluate_trace(airport_chronology, fixture_trace(airport, "mixed_branch"))
     assert not v.truth
-    assert isinstance(v.violation, ExclusivityViolation)
-    assert v.violation.group.members == {"E9", "E10"}
+    assert v.violation.kind == "ExclusivityViolation"
+    assert v.violation.subjects[0].members == {"E9", "E10"}
 
 
 def test_reversed_edge_is_an_order_violation(airport, airport_chronology):
     v = evaluate_trace(airport_chronology, fixture_trace(airport, "swapped"))
-    assert v.violation == OrderViolation("E3", "E4")
+    assert v.violation == Violation("OrderViolation", ("E3", "E4"))
 
 
 def test_empty_trace_never_started(airport, airport_chronology):
     v = evaluate_trace(airport_chronology, fixture_trace(airport, "nothing"))
-    assert v.violation == NotStarted()
+    assert v.violation == Violation("NotStarted")
 
 
 def test_unknown_event_in_trace(airport_chronology):
     v = evaluate_trace(airport_chronology, trace_of("E1", "E99"))
-    assert v.violation == UnknownEventOccurred("E99")
+    assert v.violation == Violation("UnknownEvent", ("E99",))
     assert v.summary() == "FALSE reason=UnknownEvent(E99)"
 
 
 def test_prefix_trace_misses_a_successor(airport_chronology):
     v = evaluate_trace(airport_chronology, trace_of("E1", "E3", "E4"))
-    assert v.violation == MissingSuccessor("E4")
+    assert v.violation == Violation("MissingSuccessor", ("E4",))
     assert v.summary() == "FALSE reason=MissingSuccessor(E4)"
 
 
 def test_thread_that_never_started_is_rejected(airport_chronology):
     # E6 occurs although its only cause E2 is absent: no run contains it
     v = evaluate_trace(airport_chronology, trace_of("E1", "E3", "E4", "E5", "E6", "E7", "E8", "E9", "E13", "E14"))
-    assert v.violation == NotStarted()
+    assert v.violation == Violation("NotStarted")
 
 
 def test_equal_timestamps_on_ordered_pair_rejected(airport_chronology):
     t = Trace("t", (("E1", 0), ("E3", 0)))
     v = evaluate_trace(airport_chronology, t)
-    assert v.violation == OrderViolation("E1", "E3")
+    assert v.violation == Violation("OrderViolation", ("E1", "E3"))
 
 
 def test_equal_timestamps_on_concurrent_pair_accepted():
@@ -261,24 +256,28 @@ def test_window_violation():
     b = build_chronology(events, Chronology("c", edges=(("a", "z"),)))
     assert evaluate_trace(b, Trace("t", (("a", 3), ("z", 9)))).truth
     v = evaluate_trace(b, Trace("t", (("a", 0), ("z", 9))))
-    assert v.violation == WindowViolation("a")
+    assert v.violation == Violation("WindowViolation", ("a",))
     assert v.summary() == "FALSE reason=WindowViolation(a)"
 
 
 @pytest.mark.parametrize(
     "reason, text",
     [
-        (NotStarted(), "NotStarted"),
-        (OrderViolation("E3", "E4"), "OrderViolation(E3,E4)"),
-        (ExclusivityViolation(ExclusiveGroup("g", frozenset({"E10", "E9"}))), "ExclusivityViolation({E10|E9})"),
-        (MissingSuccessor("E4"), "MissingSuccessor(E4)"),
-        (UnknownEventOccurred("E99"), "UnknownEvent(E99)"),
-        (WindowViolation("a"), "WindowViolation(a)"),
+        (Violation("NotStarted"), "NotStarted"),
+        (Violation("OrderViolation", ("E3", "E4")), "OrderViolation(E3,E4)"),
+        (Violation("ExclusivityViolation", (ExclusiveGroup("g", frozenset({"E10", "E9"})),)), "ExclusivityViolation({E10|E9})"),
+        (Violation("MissingSuccessor", ("E4",)), "MissingSuccessor(E4)"),
+        (Violation("UnknownEvent", ("E99",)), "UnknownEvent(E99)"),
+        (Violation("WindowViolation", ("a",)), "WindowViolation(a)"),
     ],
 )
 def test_each_verdict_reason_prints_its_name_and_fields(reason, text):
     assert str(reason) == text
     assert Verdict(False, violation=reason).summary() == f"FALSE reason={text}"
+
+
+def test_reasons_of_different_kinds_on_the_same_subjects_differ():
+    assert Violation("MissingSuccessor", ("E",)) != Violation("WindowViolation", ("E",))
 
 
 def test_evaluation_is_deterministic(airport, airport_chronology):
@@ -289,7 +288,7 @@ def test_evaluation_is_deterministic(airport, airport_chronology):
 
 def test_monotone_falsity_of_exclusivity(airport_chronology):
     rejected = trace_of("E1", "E3", "E4", "E5", "E8", "E9", "E10")
-    assert isinstance(evaluate_trace(airport_chronology, rejected).violation, ExclusivityViolation)
+    assert evaluate_trace(airport_chronology, rejected).violation.kind == "ExclusivityViolation"
     rng = random.Random(3)
     remaining = sorted(airport_chronology.events - set(rejected.events()))
     for _ in range(20):

@@ -68,6 +68,21 @@ def test_check_reports_errors_with_exit_1(tmp_path, capsys):
     assert "E-CREATE-INFLOW" in err
 
 
+def test_check_reports_a_stage_or_arc_listed_twice_once(tmp_path, capsys):
+    twice = tmp_path / "twice.tm"
+    twice.write_text(
+        'model m {\n  thimac a "A" { stages: create, process; things: "x"; }\n  flow f: a.create -> a.process;\n}\n'
+        'subdiagram s "S" { stages: a.create, ghost.create, ghost.create; arcs: f, f, g, g; }\n'
+    )
+    status, out, err = run_cli(capsys, "check", str(twice))
+    assert status == 1
+    assert err.splitlines() == [
+        "error: E-SUB-CLOSURE: flow arc 'f' endpoint a.process is outside the subdiagram [s, f]",
+        "error: E-SUB-UNRESOLVED: arc 'g' is not in the model [s, g]",
+        "error: E-SUB-UNRESOLVED: stage ghost.create is not in the model [s, ghost.create]",
+    ]
+
+
 def test_parse_failure_diagnostics_on_stderr(tmp_path, capsys):
     bad = tmp_path / "broken.tm"
     bad.write_text("model { nope")

@@ -58,6 +58,15 @@ def test_overlay_mentions_subdiagram_membership(airport):
     assert 'label="s8,s9,s10"' in text or 'label="s9,s10"' in text
 
 
+def test_overlay_counts_a_stage_or_arc_listed_twice_once():
+    doc = parse_text(
+        'model m {\n  thimac a "A" { stages: create, process; things: "x"; }\n  flow f: a.create -> a.process;\n}\n'
+        'subdiagram s "S" { stages: a.create, a.process, a.create; arcs: f, f; }\n'
+    ).document
+    text = to_dot(doc, RenderOptions(level=Level.OVERLAY))
+    assert text.count('[s]"') == 2 and 'tooltip="f", label="s"]' in text and "s,s" not in text
+
+
 def test_render_is_deterministic(airport):
     options = RenderOptions(level=Level.STATIC)
     assert to_dot(airport, options) == to_dot(airport, options)

@@ -31,6 +31,15 @@ def test_unknown_stage_and_arc_are_reported(airport):
     assert {d.code for d in check_subdiagram(airport.model, broken)} == {dg.SUB_UNRESOLVED}
 
 
+def test_a_stage_or_arc_listed_twice_is_checked_once(airport):
+    ghost = StageRef("ghost", StageKind.CREATE)
+    twice = Subdiagram("bad", "BAD", stages=(ghost, ghost), arcs=("f1", "f1", "nope", "nope"))
+    once = Subdiagram("bad", "BAD", stages=(ghost,), arcs=("f1", "nope"))
+    diags = check_subdiagram(airport.model, twice)
+    assert diags == check_subdiagram(airport.model, once)
+    assert {d.code for d in diags} == {dg.SUB_CLOSURE, dg.SUB_UNRESOLVED} and len(set(diags)) == len(diags)
+
+
 def test_boundary_crossing_trigger_is_allowed(airport):
     # t1 reaches from counter.process into the nested ticket machine; a
     # subdiagram carrying it does not need the trigger's endpoints.

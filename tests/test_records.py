@@ -1,7 +1,7 @@
 """The record rule: a plain value record is a NamedTuple, and a record stays a
-frozen dataclass only if it needs a cached_property, a compare=False field or a
-place in a class hierarchy. Either kind is immutable, hashes as it compares and
-prints as ``Name(field=value, ...)``."""
+frozen dataclass only if it needs a cached_property or a compare=False field.
+Either kind is immutable, hashes as it compares and prints as
+``Name(field=value, ...)``."""
 import dataclasses
 import importlib
 import inspect
@@ -14,14 +14,9 @@ import tmkit
 from tmkit.behavior import (
     Chronology,
     ExclusiveGroup,
-    ExclusivityViolation,
-    MissingSuccessor,
-    NotStarted,
-    OrderViolation,
     Trace,
-    UnknownEventOccurred,
     Verdict,
-    WindowViolation,
+    Violation,
 )
 from tmkit.diagnostics import Diagnostic, Severity, Span
 from tmkit.dot import RenderOptions
@@ -60,7 +55,11 @@ RECORDS = {
     ),
     ExclusiveGroup: (lambda: ExclusiveGroup("x", frozenset({"B"})), "ExclusiveGroup(name='x', members=frozenset({'B'}))"),
     Trace: (lambda: Trace("t", (("E", 0),)), "Trace(id='t', occurrences=(('E', 0),))"),
-    Verdict: (lambda: Verdict(False, violation=MissingSuccessor("E")), "Verdict(truth=False, run=None, violation=MissingSuccessor(event='E'))"),
+    Verdict: (
+        lambda: Verdict(False, violation=Violation("MissingSuccessor", ("E",))),
+        "Verdict(truth=False, run=None, violation=Violation(kind='MissingSuccessor', subjects=('E',)))",
+    ),
+    Violation: (lambda: Violation("OrderViolation", ("A", "B")), "Violation(kind='OrderViolation', subjects=('A', 'B'))"),
     Span: (lambda: Span("a.tm", 1, 2), "Span(file='a.tm', line=1, col=2)"),
     ParseResult: (lambda: ParseResult(None, []), "ParseResult(document=None, diagnostics=[])"),
     RenderOptions: (lambda: RenderOptions(), "RenderOptions(level=<Level.STATIC: 'static'>, highlight=frozenset(), clusters=True)"),
@@ -86,15 +85,6 @@ RECORDS = {
         "span=Span(file='<memory>', line=0, col=0))",
     ),
     IsoResult: (lambda: IsoResult(True, {"a": "b"}), "IsoResult(isomorphic=True, mapping={'a': 'b'})"),
-    NotStarted: (lambda: NotStarted(), "NotStarted()"),
-    OrderViolation: (lambda: OrderViolation("A", "B"), "OrderViolation(before='A', after='B')"),
-    ExclusivityViolation: (
-        lambda: ExclusivityViolation(ExclusiveGroup("x", frozenset({"B"}))),
-        "ExclusivityViolation(group=ExclusiveGroup(name='x', members=frozenset({'B'})))",
-    ),
-    MissingSuccessor: (lambda: MissingSuccessor("E"), "MissingSuccessor(event='E')"),
-    UnknownEventOccurred: (lambda: UnknownEventOccurred("E"), "UnknownEventOccurred(event='E')"),
-    WindowViolation: (lambda: WindowViolation("E"), "WindowViolation(event='E')"),
 }
 
 
@@ -122,16 +112,18 @@ def _tmkit_classes() -> list[type]:
     return [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass) if c.__module__ == m.__name__]
 
 
-def test_a_record_stays_a_dataclass_only_for_a_cache_a_field_left_out_of_equality_or_a_hierarchy():
+def test_a_record_stays_a_dataclass_only_for_a_cache_or_a_field_left_out_of_equality():
     classes = _tmkit_classes()
-    ours = set(classes)
 
     def needs_a_dataclass(cls: type) -> bool:
         cached = any(isinstance(v, cached_property) for v in vars(cls).values())
-        uncompared = any(not f.compare for f in dataclasses.fields(cls))
-        related = ours.intersection(cls.__mro__[1:]) or ours.intersection(cls.__subclasses__())
-        return cached or uncompared or bool(related)
+        return cached or any(not f.compare for f in dataclasses.fields(cls))
 
     assert [c.__name__ for c in classes if dataclasses.is_dataclass(c) and not needs_a_dataclass(c)] == []
     public = {c for c in classes if (dataclasses.is_dataclass(c) or issubclass(c, tuple)) and not c.__name__.startswith("_")}
     assert public == set(RECORDS)  # each is tested above
+
+
+def test_diagnostics_that_differ_only_by_position_differ():
+    here = Diagnostic("E-SYNTAX", Severity.ERROR, "bad", ("a",), Span("a.tm", 1, 2))
+    assert here != here._replace(span=Span("a.tm", 3, 4))

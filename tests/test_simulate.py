@@ -13,7 +13,6 @@ from tmkit.events import Event, Subdiagram
 from tmkit.model import Arc, ArcKind, StageKind, StageRef, Thimac, build_model
 from tmkit.simulate import (
     RETIRED,
-    BranchPolicy,
     Scripted,
     Seeded,
     _moves,
@@ -214,8 +213,9 @@ def test_scripted_needs_every_reachable_group(airport, airport_chronology):
 
 
 def test_a_policy_other_than_seeded_or_scripted_is_a_policy_error(airport, airport_chronology):
-    with pytest.raises(PolicyError, match="not BranchPolicy"):
-        simulate(airport.model, airport.subdiagrams, airport.events, airport_chronology, BranchPolicy())
+    # a bare tuple has Seeded's shape but is not a Seeded policy
+    with pytest.raises(PolicyError, match="not tuple"):
+        simulate(airport.model, airport.subdiagrams, airport.events, airport_chronology, (0,))
 
 
 def test_single_event_model_simulates_to_one_step():
