@@ -111,7 +111,9 @@ class Chronology:
     def _search_index(self) -> tuple[list[str], list[list[int]], list[list[int]], list[list[int]], list[bool], list[bool]]:
         """search_runs' index, which nothing forced changes: the events in topological order and,
         by position, their predecessors, rivals and sorted successors, and whether each is a start and an end."""
-        order, _ = topological_order(sorted(self.events), self.edges)
+        order, leftover = topological_order(sorted(self.events), self.edges)
+        if leftover:  # a record that has not been through build_chronology
+            raise CycleDetected(_cycle_among(leftover, self.edges))
         at = {e: i for i, e in enumerate(order)}
         preds: list[list[int]] = [[] for _ in order]
         succs: list[list[int]] = [[] for _ in order]
@@ -453,7 +455,7 @@ def search_runs(
 def enumerate_runs(chronology: Chronology, bound: int = 10_000) -> list[tuple[str, ...]]:
     """All runs of the chronology, one canonical order per run set. Raises
     BoundExceeded when ``bound`` is below the event count, the run count
-    passes it or search_runs passes its step cap."""
+    passes it or search_runs passes its step cap, CycleDetected on a cycle."""
     if bound < len(chronology.events):
         raise BoundExceeded(f"bound {bound} is smaller than the event count {len(chronology.events)}")
     runs: list[tuple[str, ...]] = []

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
-from . import behavior
 from .behavior import Chronology, Trace, search_runs, topological_order
 from .errors import Deadlock, IllegalAction, NotEnabled, PolicyError
 from .events import Event, Subdiagram
@@ -362,9 +361,9 @@ def simulate(
     choose = _chooser(policy, chronology)
     while True:
         enabled = enabled_events(state)
-        # a run leaves no fired event unfinished, so only then is the set checked;
-        # looked up when it runs, so a tracer that rebinds it sees this call
-        done = not state.unfinished and behavior.run_set_valid(chronology, state.fired)
+        # each fired event is a start or follows a fired one, and rules out its rivals, so the
+        # fired events form a run once none of them is unfinished
+        done = bool(state.fired) and not state.unfinished
         if not enabled and not done:
             raise _deadlock(state)
         event_id = choose(enabled, done)

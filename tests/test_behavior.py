@@ -80,6 +80,20 @@ def test_cycle_is_detected_with_a_witness():
     assert set(err.value.cycle) >= {"E1", "E2"}
 
 
+def test_the_runs_of_an_unchecked_cyclic_chronology_are_a_typed_error():
+    # a record that has not been through build_chronology may hold a cycle
+    chron = Chronology("c", edges=(("A", "B"), ("B", "A")))
+    airport = load("airport.tm")
+    searches = (
+        lambda: enumerate_runs(chron),
+        lambda: next(search_runs(chron, 10)),
+        lambda: simulate(airport.model, airport.subdiagrams, airport.events, chron, Seeded(0)),
+    )
+    for search in searches:
+        with pytest.raises(CycleDetected) as err:
+            search()
+        assert err.value.cycle == ["A", "B", "A"]
+
 def test_cycle_witness_is_a_closed_walk_over_declared_edges():
     rng = random.Random(29)
     for _ in range(100):

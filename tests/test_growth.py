@@ -12,8 +12,8 @@ reason (Goldsmith, Aiken & Wilkerson, "Measuring empirical computational
 complexity", 2007). Each row counts cold: it parses its document afresh from the
 cached text, so its count does not depend on which rows ran before it, and
 ``pytest -k <row>`` reproduces it. There is no tmkit module cache to clear:
-``validate`` builds its chain tables at import, and the reader's compiled
-grammar is filled by that first parse, before anything is counted.
+``validate`` builds its chain tables and ``syntax`` compiles the reader's
+grammar at import, before anything is counted.
 
 The counter sees every bytecode of Python code, comprehensions and generators
 included, but it counts one for work done inside a single bytecode or C call:

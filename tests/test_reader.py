@@ -6,13 +6,14 @@ import random
 import re
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
 
-from tmkit import reader, syntax
+from tmkit import syntax
 from tmkit.model import StageKind
-from tmkit.syntax import SourceFile, _Parser, parse, parse_text, print_document
+from tmkit.syntax import SourceFile, _Parser, _read, parse, parse_text, print_document
 
 from conftest import FIXTURES, declaration_spans
 from genutil import mutated, random_document
@@ -36,7 +37,7 @@ def agree(text: str) -> bool:
     nothing and no character beyond ASCII stands outside a string or comment; when
     it does, the token parser reads the same document, with the same spans."""
     src = SourceFile("f.tm", text)
-    doc = reader.read(src)
+    doc = _read(src)
     p = _Parser(src)
     want = p.document()
     assert (doc is not None) == (not p.diags and not beyond_ascii(text)), (text, p.diags)
@@ -95,7 +96,7 @@ def test_the_reader_reads_every_fixture_as_the_token_parser_does():
 def test_identifiers_and_numerals_beyond_ascii_are_the_token_parsers_alone():
     for form, text in BEYOND_ASCII.items():
         src = SourceFile("f.tm", text)
-        assert reader.read(src) is None, form
+        assert _read(src) is None, form
         res, want = parse(src), _Parser(src).document()
         assert res.document == want and res.diagnostics == [], form
         assert dict(res.document.spans) == dict(want.spans), form
@@ -125,6 +126,17 @@ def test_the_reader_reads_random_documents_as_the_token_parser_does():
         printed = print_document(random_document(rng))
         assert agree(printed), printed
 
+
+def test_chronologies_that_state_some_of_their_events_read_as_the_token_parser_does():
+    # random_document states every event of a chronology; here each states a random subset, in random order, or none
+    rng = random.Random(65)
+    for _ in range(300):
+        doc = random_document(rng)
+        partial = [replace(c, event_ids=tuple(rng.sample(c.event_ids, rng.randint(0, len(c.event_ids))))) for c in doc.chronologies]
+        doc = replace(doc, chronologies=tuple(partial))
+        printed = print_document(doc)
+        assert agree(printed), printed
+        assert parse_text(printed).document == doc, printed
 
 def test_the_reader_reads_the_benchmark_shapes_as_the_token_parser_does():
     rng = random.Random(15)
@@ -206,11 +218,11 @@ def test_the_spans_of_a_read_document_need_no_token_parser(monkeypatch):
     src = SourceFile.read(str(FIXTURES / "airport.tm"))
     want = dict(_Parser(src).document().spans)
     monkeypatch.setattr(syntax, "_Parser", None)
-    assert dict(reader.read(src).spans) == want
+    assert dict(_read(src).spans) == want
 
 
 def test_a_hash_in_a_label_is_no_comment_and_a_comment_in_a_list_ends_at_its_line():
-    doc = reader.read(SourceFile("f.tm", 'model m { thimac a "A" { things: "a # b", "c"; stages: create, # process\n release; } }'))
+    doc = _read(SourceFile("f.tm", 'model m { thimac a "A" { things: "a # b", "c"; stages: create, # process\n release; } }'))
     (a,) = doc.model.roots
     assert a.things == ("a # b", "c") and a.stages == {StageKind.CREATE, StageKind.RELEASE}
 
@@ -233,7 +245,7 @@ def test_long_lists_and_labels_take_one_scan():
     read = []
     for text, problem in texts:
         start = time.perf_counter()
-        doc, res = reader.read(SourceFile("f.tm", text)), parse_text(text)
+        doc, res = _read(SourceFile("f.tm", text)), parse_text(text)
         assert time.perf_counter() - start < 2
         assert (doc is None) == (problem is not None) and doc == res.document
         assert problem is None or problem in [d.message for d in res.diagnostics]
